@@ -1,17 +1,21 @@
-"""Epoch-batched vs. event-at-a-time execution.
+"""Whole-stream blocks vs. one-event blocks.
 
-The batching engine's headline numbers: the in-process backend runs the
-Figure 6 Smart-Homes pipeline both event-at-a-time (``push`` through
-``Operator.handle``) and epoch-batched (``push_batch`` through the
-batch kernels), asserts the canonical sink traces are identical — the
-data-trace types license the batching, so the denotation must not move —
-and reports the wall-clock speedup.  A second case runs the Section 2
-motivation pipeline as a small smoke workload (the CI perf gate), and a
-third compares the simulated cluster with micro-batching and typed
-shuffle combiners on vs. off.
+The batching engine's headline numbers: the in-process backend has one
+execution path, ``push_batch`` through the batch kernels, and the block
+size is the only knob.  The Figure 6 Smart-Homes pipeline runs with
+one-event blocks (``serial``: what an unbatched pipeline does) and with
+the whole stream as one ``push_batch`` block (``batched``, which the
+pipeline drains an epoch at a time); the benchmark asserts the
+canonical sink traces are identical — the data-trace types license any
+block size, so the denotation must not move — and reports the
+wall-clock speedup, i.e. what amortizing the per-block plumbing buys.
+A second case runs the Section 2 motivation pipeline as a small smoke
+workload (the CI perf gate), and a third compares the simulated cluster
+with micro-batching and typed shuffle combiners on vs. off.
 
 Measurement protocol (``timeit``'s): GC disabled inside the timed
-region, best-of-N (min) as the estimator.
+region, best-of-N (min) as the estimator, the two block sizes timed
+alternately.
 """
 
 from __future__ import annotations
@@ -32,36 +36,41 @@ from repro.storm.local import events_to_trace
 
 from conftest import SPOUTS, TASKS_PER_MACHINE
 
-#: CI floor: the batched engine must beat event-at-a-time by at least
-#: this factor.  The measured ratio on the full fig6 workload is ~3.5x
-#: (see BENCH_batching.json); the floor leaves headroom for noisy
-#: shared runners.
+#: CI floor: whole-stream blocks must beat one-event blocks by at least
+#: this factor.  Over 15 runs of this module on a 2-vCPU VM the ratio
+#: had a median of ~2.0x on the smoke workload and ~1.7x on the full
+#: fig6 workload, where most of the time is per-event kernel work that
+#: both block sizes share.
 SPEEDUP_FLOOR = 1.5
 
 REPEATS = 5
 
 
-def _time_push(dag, source, sink, events, batched, repeats=REPEATS):
-    """Best-of-``repeats`` wall time for one full stream; returns the
-    sink events of the last run for the trace-equality check."""
-    best = float("inf")
-    outputs = None
+def _time_push(dag, source, sink, events, repeats=REPEATS):
+    """Best-of-``repeats`` wall times for one full stream pushed as
+    one-event blocks and as one block, alternating the two per repeat so
+    a drift in host speed hits both; returns ``(serial_s, serial_out,
+    batched_s, batched_out)`` with the sink events of each mode's last
+    run for the trace-equality check."""
+    best = {False: float("inf"), True: float("inf")}
+    outputs = {}
     for _ in range(repeats):
-        pipe = compile_inprocess(dag, batched=batched)
-        gc.collect()
-        gc.disable()
-        t0 = time.perf_counter()
-        if batched:
-            pipe.push_batch(source, events)
-        else:
-            push = pipe.push
-            for event in events:
-                push(source, event)
-        elapsed = time.perf_counter() - t0
-        gc.enable()
-        best = min(best, elapsed)
-        outputs = pipe.outputs(sink)
-    return best, outputs
+        for batched in (False, True):
+            pipe = compile_inprocess(dag, batched=batched)
+            gc.collect()
+            gc.disable()
+            t0 = time.perf_counter()
+            if batched:
+                pipe.push_batch(source, events)
+            else:
+                push_batch = pipe.push_batch
+                for event in events:
+                    push_batch(source, [event])
+            elapsed = time.perf_counter() - t0
+            gc.enable()
+            best[batched] = min(best[batched], elapsed)
+            outputs[batched] = pipe.outputs(sink)
+    return best[False], outputs[False], best[True], outputs[True]
 
 
 def _record(serial_s, batched_s, n_events):
@@ -76,13 +85,14 @@ def _record(serial_s, batched_s, n_events):
 
 
 def test_batching_inprocess_fig6(smarthomes_workload, smarthomes_models, benchmark):
-    """Figure 6 pipeline, in-process: batched must be >= 1.5x serial
-    (measured ~3.5x) with identical canonical sink traces."""
+    """Figure 6 pipeline, in-process: whole-stream blocks must be >= 1.5x
+    one-event blocks with identical canonical sink traces."""
     events = list(smarthomes_workload.events())
     dag = smart_homes_dag(smarthomes_workload.make_database(), smarthomes_models)
 
-    serial_s, serial_out = _time_push(dag, "hub", "SINK", events, batched=False)
-    batched_s, batched_out = _time_push(dag, "hub", "SINK", events, batched=True)
+    serial_s, serial_out, batched_s, batched_out = _time_push(
+        dag, "hub", "SINK", events
+    )
 
     assert events_to_trace(serial_out, False) == events_to_trace(batched_out, False), (
         "batched execution changed the canonical sink trace"
@@ -90,14 +100,14 @@ def test_batching_inprocess_fig6(smarthomes_workload, smarthomes_models, benchma
     speedup = serial_s / batched_s
     print(f"\nfig6 in-process: serial {serial_s:.3f}s, batched {batched_s:.3f}s, "
           f"speedup {speedup:.2f}x over {len(events)} events")
+    # Recorded before the floor check, so a failing run leaves its figure.
+    emit_bench_json("BENCH_batching.json", {
+        "inprocess_fig6": _record(serial_s, batched_s, len(events)),
+    })
     assert speedup >= SPEEDUP_FLOOR, (
         f"batched in-process run only {speedup:.2f}x serial "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
-
-    emit_bench_json("BENCH_batching.json", {
-        "inprocess_fig6": _record(serial_s, batched_s, len(events)),
-    })
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
     def kernel():
@@ -110,25 +120,26 @@ def test_batching_inprocess_fig6(smarthomes_workload, smarthomes_models, benchma
 
 def test_batching_inprocess_smoke(benchmark):
     """The CI perf gate: a seconds-scale workload (the Section 2
-    motivation pipeline) where batched must still be >= 1.5x serial."""
+    motivation pipeline) where whole-stream blocks must still be >= 1.5x
+    one-event blocks."""
     workload = SensorWorkload(n_sensors=12, duration=300, marker_period=10)
     events = list(workload.events())
     dag = iot_typed_dag(parallelism=2)
 
-    serial_s, serial_out = _time_push(dag, "SENSOR", "SINK", events, batched=False)
-    batched_s, batched_out = _time_push(dag, "SENSOR", "SINK", events, batched=True)
+    serial_s, serial_out, batched_s, batched_out = _time_push(
+        dag, "SENSOR", "SINK", events
+    )
 
     assert events_to_trace(serial_out, False) == events_to_trace(batched_out, False)
     speedup = serial_s / batched_s
     print(f"\nmotivation smoke: serial {serial_s * 1e3:.1f}ms, "
           f"batched {batched_s * 1e3:.1f}ms, speedup {speedup:.2f}x")
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"batched smoke run only {speedup:.2f}x serial (floor {SPEEDUP_FLOOR}x)"
-    )
-
     emit_bench_json("BENCH_batching.json", {
         "inprocess_smoke": _record(serial_s, batched_s, len(events)),
     })
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"batched smoke run only {speedup:.2f}x serial (floor {SPEEDUP_FLOOR}x)"
+    )
 
     def kernel():
         pipe = compile_inprocess(dag, batched=True)

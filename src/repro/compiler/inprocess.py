@@ -9,26 +9,27 @@ events, suitable for embedding the computation in another program (or
 another engine's operator slot).
 
 The compilation reuses the DAG's topological structure directly: every
-vertex becomes a node holding its operator state; events are pushed
-through edges with an iterative worklist (no recursion, so deep chains
-and high-fan-out DAGs cannot hit the interpreter's recursion limit).
+vertex becomes a node holding its operator state; blocks of events are
+pushed through edges with an iterative worklist (no recursion, so deep
+chains and high-fan-out DAGs cannot hit the interpreter's recursion
+limit).
 
-Two execution granularities share that worklist:
+There is one execution path, :meth:`InProcessPipeline.push_batch`: the
+worklist moves ``List[Event]`` blocks through ``Operator.handle_batch``
+and ``Merge.handle_batch``, paying the per-edge plumbing once per block.
+The block size is the caller's choice, up to one epoch: a longer block
+is drained an epoch at a time.  :meth:`InProcessPipeline.run`
+pushes each source's whole stream as one block when compiled with
+``batched=True``, and one-event blocks round-robin across the sources
+otherwise — serial execution is a block of one.
 
-- **event-at-a-time** (:meth:`InProcessPipeline.push`) moves one event
-  per worklist entry through ``Operator.handle``;
-- **epoch-batched** (:meth:`InProcessPipeline.push_batch`, the default
-  for :meth:`InProcessPipeline.run` when compiled with ``batched=True``)
-  moves whole ``List[Event]`` blocks through ``Operator.handle_batch``
-  and ``Merge.handle_batch``, paying the per-edge plumbing once per
-  block instead of once per event.
-
-The batched path is licensed by the edge types: the type checker has
+Any block size is licensed by the edge types: the type checker has
 already established what order each edge's consumers may rely on, and
 the batch kernels (see :mod:`repro.operators`) reorder only what the
-edge type declares invisible — so both granularities denote the same
-trace transduction and their canonical sink traces coincide (asserted by
-the parity suite).
+edge type declares invisible — so every block size denotes the same
+trace transduction as the reference semantics (``Operator.handle``, run
+by :func:`~repro.dag.semantics.evaluate_dag`), and the canonical sink
+traces coincide (asserted by the parity suite).
 """
 
 from __future__ import annotations
@@ -39,20 +40,19 @@ from typing import Any, Deque, Dict, List, Sequence, Tuple
 from repro.errors import CompilationError
 from repro.dag.graph import TransductionDAG, VertexKind
 from repro.dag.typecheck import typecheck_dag
-from repro.operators.base import Event
+from repro.operators.base import Event, Marker
 from repro.operators.merge import Merge
 
 
 class InProcessPipeline:
     """A compiled single-process executor for a transduction DAG.
 
-    Feed events per source with :meth:`push` (one at a time) or
-    :meth:`push_batch` (a block at once); outputs accumulate per sink
-    and are retrieved with :meth:`outputs`.  :meth:`run` is the batch
-    convenience over whole streams — epoch-batched when the pipeline was
-    compiled with ``batched=True``, event-at-a-time otherwise.  Both
-    entry points thread the same operator states, so they can be mixed
-    freely on one pipeline instance.
+    Feed blocks of events per source with :meth:`push_batch`; outputs
+    accumulate per sink and are retrieved with :meth:`outputs`.
+    :meth:`run` is the convenience over whole streams — one block per
+    stream when the pipeline was compiled with ``batched=True``, one
+    event per block otherwise.  Blocks of any size thread the same
+    operator states, so they can be mixed freely on one instance.
     """
 
     def __init__(self, dag: TransductionDAG, batched: bool = False):
@@ -89,19 +89,26 @@ class InProcessPipeline:
 
     # ------------------------------------------------------------------
 
-    def push(self, source: str, event: Event) -> None:
-        """Consume one event from the named source."""
-        self._push_edge(self._resolve_source(source), event)
-
     def push_batch(self, source: str, events: Sequence[Event]) -> None:
-        """Consume a block of events from the named source at once.
+        """Consume a block of events from the named source.
 
-        The block travels the DAG as a unit: each vertex consumes the
-        whole block through its batch kernel and forwards one output
-        block per out-edge.
+        The block is drained one epoch at a time: it is cut after each
+        marker, and each piece travels the whole DAG before the next
+        starts — each vertex consumes it through its batch kernel and
+        forwards one output block per out-edge.  Like any block size,
+        the cut is licensed by the edge types; it keeps every
+        intermediate block within one epoch, so pushing a long stream
+        does not build stream-sized intermediate lists.
         """
-        if events:
-            self._push_edge_batch(self._resolve_source(source), list(events))
+        edge_id = self._resolve_source(source)
+        events = list(events)
+        start = 0
+        for end, event in enumerate(events, 1):
+            if type(event) is Marker:
+                self._push_block(edge_id, events[start:end])
+                start = end
+        if start < len(events):
+            self._push_block(edge_id, events[start:])
 
     def outputs(self, sink: str) -> List[Event]:
         """Everything delivered to ``sink`` so far."""
@@ -158,12 +165,12 @@ class InProcessPipeline:
     def run(
         self, source_events: Dict[str, Sequence[Event]]
     ) -> Dict[str, List[Event]]:
-        """Batch evaluation over whole streams, draining fully.
+        """Evaluation over whole streams, draining fully.
 
         Batched pipelines move each source's stream as one block;
-        event-at-a-time pipelines interleave the sources round-robin,
-        dropping a source from the rotation once its stream is
-        exhausted.
+        unbatched ones push one-event blocks, interleaving the sources
+        round-robin and dropping a source from the rotation once its
+        stream is exhausted.
         """
         if self._batched:
             for name, events in source_events.items():
@@ -176,7 +183,7 @@ class InProcessPipeline:
                 event = next(iterator, _EXHAUSTED)
                 if event is _EXHAUSTED:
                     continue
-                self.push(name, event)
+                self.push_batch(name, [event])
                 alive.append((name, iterator))
             cursors = alive
         return {name: self.outputs(name) for name in self._outputs}
@@ -189,50 +196,7 @@ class InProcessPipeline:
         except KeyError:
             raise CompilationError(f"unknown source {source!r}")
 
-    def _push_edge(self, edge_id: int, event: Event) -> None:
-        """Move one event through the DAG with an iterative worklist.
-
-        Entries are ``(edge_id, event)``; FIFO processing preserves
-        per-edge delivery order, which is the only order the operators
-        rely on.
-        """
-        edges = self._dag.edges
-        vertices = self._dag.vertices
-        work: Deque[Tuple[int, Event]] = deque()
-        work.append((edge_id, event))
-        while work:
-            edge_id, event = work.popleft()
-            edge = edges[edge_id]
-            vertex = vertices[edge.dst]
-            if vertex.kind == VertexKind.SINK:
-                self._outputs[vertex.name].append(event)
-                continue
-            if vertex.kind == VertexKind.MERGE:
-                outputs = vertex.payload.handle(
-                    self._op_state[vertex.vertex_id], edge.dst_port, event
-                )
-                (out_edge,) = self._dag.out_edges(vertex)
-                for out in outputs:
-                    work.append((out_edge.edge_id, out))
-                continue
-            # OP vertex, possibly with an implicit merge frontend.
-            merge = self._implicit_merge.get(vertex.vertex_id)
-            events: List[Event]
-            if merge is not None:
-                events = merge.handle(
-                    self._merge_state[vertex.vertex_id], edge.dst_port, event
-                )
-            else:
-                events = [event]
-            state = self._op_state[vertex.vertex_id]
-            out_edges = self._dag.out_edges(vertex)
-            handle = vertex.payload.handle
-            for incoming in events:
-                for out in handle(state, incoming):
-                    for out_edge in out_edges:
-                        work.append((out_edge.edge_id, out))
-
-    def _push_edge_batch(self, edge_id: int, events: List[Event]) -> None:
+    def _push_block(self, edge_id: int, events: List[Event]) -> None:
         """Move a whole block of events through the DAG at once.
 
         The worklist carries ``(edge_id, List[Event])`` blocks; each
@@ -286,9 +250,9 @@ def compile_inprocess(
 ) -> InProcessPipeline:
     """Compile a typed DAG to the in-process backend (see module doc).
 
-    ``batched=True`` selects the epoch-batched fast path for
-    :meth:`InProcessPipeline.run` — same canonical sink traces, paid for
-    with one batch-kernel invocation per block instead of one ``handle``
-    per event.
+    ``batched`` only sets the block size :meth:`InProcessPipeline.run`
+    uses: whole streams when true, single events otherwise — same
+    canonical sink traces either way, with one batch-kernel invocation
+    per block.
     """
     return InProcessPipeline(dag, batched=batched)

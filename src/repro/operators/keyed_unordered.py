@@ -204,31 +204,30 @@ class OpKeyedUnordered(Operator):
         return list(state.emitter.drain())
 
     def handle_batch(self, state: _KeyedUnorderedState, events) -> List[Event]:
-        """Epoch kernel: fold each between-marker run key-by-key.
+        """Epoch kernel: fold a block's items in one pass.
 
-        Items of one block are grouped per key first, so each distinct
-        key costs one ``state_map`` probe per block instead of one per
-        item, and the fold runs as a tight local loop.  Grouping is legal
-        because the ``U`` input type makes between-marker items mutually
-        independent (any fold order yields the same block aggregate —
-        the monoid is commutative).  ``on_item`` still fires once per
-        item against the same last-marker snapshot the serial path shows
-        it, so emitted output differs at most in within-block order.
+        Each item is folded into its key's block aggregate in arrival
+        order — the per-key order the per-event path uses, so every
+        aggregate is identical — with the dispatch, the bound hooks and
+        the output wrapper paid once per block instead of once per item.
+        ``on_item`` fires once per item against the key's last-marker
+        state, as in the per-event path.
         """
         out: List[Event] = []
         state_map = state.state_map
         combine, fold_in = self.combine, self.fold_in
-
-        def emit(key, value, _append=out.append, _new=tuple.__new__):
-            _append(_new(KV, (key, value)))
-
-        # Skip the per-item hook loop entirely when on_item is the
-        # template default (the common, pure-aggregation case).
-        on_item_active = type(self).on_item is not OpKeyedUnordered.on_item
-        i, n = 0, len(events)
-        while i < n:
-            event = events[i]
+        # Skip the per-item hook entirely when on_item is the template
+        # default (the common, pure-aggregation case).
+        on_item = (
+            self.on_item
+            if type(self).on_item is not OpKeyedUnordered.on_item
+            else None
+        )
+        emit = _appender(out) if on_item is not None else None
+        for event in events:
             if type(event) is Marker:
+                if emit is None:
+                    emit = _appender(out)
                 for key, record in state_map.items():
                     record.state = self.update_state(record.state, record.agg)
                     record.agg = self.identity()
@@ -237,35 +236,25 @@ class OpKeyedUnordered(Operator):
                     state.start_state, self.identity()
                 )
                 out.append(event)
-                i += 1
                 continue
-            j = i
-            while j < n and type(events[j]) is not Marker:
-                j += 1
-            groups: Dict[Any, List[Any]] = {}
-            setdefault = groups.setdefault
-            for key, value in events[i:j]:
-                setdefault(key, []).append(value)
-            i = j
-            for key, values in groups.items():
-                record = state_map.get(key)
-                if record is None:
-                    record = _Record(self.identity(), state.start_state)
-                    state_map[key] = record
-                agg = record.agg
-                if on_item_active:
-                    snapshot = record.state
-                    for value in values:
-                        if isinstance(value, CombinedAgg):
-                            agg = combine(agg, value.agg)
-                        else:
-                            self.on_item(snapshot, key, value, emit)
-                            agg = combine(agg, fold_in(key, value))
-                else:
-                    for value in values:
-                        if isinstance(value, CombinedAgg):
-                            agg = combine(agg, value.agg)
-                        else:
-                            agg = combine(agg, fold_in(key, value))
-                record.agg = agg
+            key, value = event
+            record = state_map.get(key)
+            if record is None:
+                record = _Record(self.identity(), state.start_state)
+                state_map[key] = record
+            if isinstance(value, CombinedAgg):
+                record.agg = combine(record.agg, value.agg)
+                continue
+            if on_item is not None:
+                on_item(record.state, key, value, emit)
+            record.agg = combine(record.agg, fold_in(key, value))
         return out
+
+
+def _appender(out: List[Event]) -> Callable[[Any, Any], None]:
+    """An ``emit(key, value)`` that appends a ``KV`` straight to ``out``."""
+
+    def emit(key, value, _append=out.append, _new=tuple.__new__):
+        _append(_new(KV, (key, value)))
+
+    return emit

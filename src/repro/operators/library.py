@@ -131,20 +131,15 @@ class TableJoin(OpStateless):
             return super().handle_batch(state, events)
         lookup = self._lookup
         out: List[Event] = []
+        append = out.append
         tuple_new = tuple.__new__
-        i, n = 0, len(events)
-        while i < n:
-            if type(events[i]) is Marker:
-                out.append(events[i])
-                i += 1
+        for event in events:
+            if type(event) is Marker:
+                append(event)
                 continue
-            j = i
-            while j < n and type(events[j]) is not Marker:
-                j += 1
-            out.extend(
-                [tuple_new(KV, pair) for k, v in events[i:j] for pair in lookup(k, v)]
-            )
-            i = j
+            key, value = event
+            for pair in lookup(key, value):
+                append(tuple_new(KV, pair))
         return out
 
 

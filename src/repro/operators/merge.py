@@ -83,35 +83,32 @@ class Merge:
     ) -> List[Event]:
         """Consume a block of events from ``channel`` at once.
 
-        Runs of non-marker events either pass straight through (channel
-        inside the current output block) or append to the channel's open
-        buffered block in one ``extend``; marker alignment is identical
-        to the per-event path, so the emitted trace is the same blockwise
-        union whichever entry point delivered the events.
+        Non-marker events either pass straight through (channel inside
+        the current output block) or go to the channel's open buffered
+        block; the destination changes only at markers, so it is chosen
+        once per run.  Marker alignment is identical to the per-event
+        path, so the emitted trace is the same blockwise union whichever
+        entry point delivered the events.
         """
         if not 0 <= channel < self.n_inputs:
             raise SimulationError(f"merge channel {channel} out of range")
         out: List[Event] = []
         blocks_ahead = state.blocks_ahead
-        i, n = 0, len(events)
-        while i < n:
-            event = events[i]
-            if isinstance(event, Marker):
-                blocks_ahead[channel] += 1
-                state.marker_timestamps[channel].append(event.timestamp)
-                state.pending[channel].append([])
-                self._drain_ready(state, out)
-                i += 1
+        pending = state.pending[channel]
+        append = (
+            out.append if blocks_ahead[channel] == 0 else pending[-1].append
+        )
+        for event in events:
+            if type(event) is not Marker:
+                append(event)
                 continue
-            j = i
-            while j < n and not isinstance(events[j], Marker):
-                j += 1
-            run = events[i:j]
-            if blocks_ahead[channel] == 0:
-                out.extend(run)
-            else:
-                state.pending[channel][-1].extend(run)
-            i = j
+            blocks_ahead[channel] += 1
+            state.marker_timestamps[channel].append(event.timestamp)
+            pending.append([])
+            self._drain_ready(state, out)
+            append = (
+                out.append if blocks_ahead[channel] == 0 else pending[-1].append
+            )
         return out
 
     def snapshot_state(self, state: _MergeState) -> Any:

@@ -16,7 +16,8 @@ the stable sort on the full sort key).
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import islice
+from operator import eq, itemgetter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.operators.base import Event, KV, Marker, Operator
@@ -121,6 +122,9 @@ class SortOp(Operator):
 #: ``list.sort`` calls it once per element).
 _primary = itemgetter(0)
 
+#: The event slot of a decorated pair.
+_event = itemgetter(1)
+
 
 def _value_repr(event) -> str:
     """Tiebreak key: ``repr`` of the event's value slot."""
@@ -130,6 +134,11 @@ def _value_repr(event) -> str:
 def _resolve_ties(decorated: List[Any]) -> List[Any]:
     """Undecorate a ``(sort_key, event)`` list sorted by sort key,
     canonicalizing runs of equal sort keys by ``repr`` of the value."""
+    keys = list(map(_primary, decorated))
+    if not any(map(eq, keys, islice(keys, 1, None))):
+        # No ties (the common case for a total sort key): undecorate
+        # without the per-event run scan.
+        return list(map(_event, decorated))
     result: List[Any] = []
     i, n = 0, len(decorated)
     while i < n:

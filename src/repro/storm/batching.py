@@ -4,11 +4,13 @@ Two independent fast paths, both justified by the data-trace types of
 the compiled DAG rather than by luck:
 
 - **Micro-batching** — a task that has several tuples queued executes
-  them as one batch through the bolt's ``execute_batch`` entry point,
-  paying the per-invocation framework overhead once per batch instead of
-  once per tuple.  Batches never run past a synchronization marker
-  (epoch granularity), so marker alignment — the one ordering constraint
-  every edge type shares — is timed exactly as in the serial engine.
+  up to ``max_batch`` of them as one batch through the bolt's
+  ``execute_batch`` entry point, paying the per-invocation framework
+  overhead once per batch instead of once per tuple.  Serial execution
+  is the same entry point with batches of one.  Batches never run past
+  a synchronization marker (epoch granularity), so marker alignment —
+  the one ordering constraint every edge type shares — is timed exactly
+  as in the serial engine.
 
 - **Shuffle combiners** — on a ``U(K, V)`` hash-partitioned edge whose
   consumer's chain head is an :class:`OpKeyedUnordered` with the default
@@ -39,20 +41,19 @@ from repro.storm.groupings import MarkerAwareGrouping
 
 @dataclass
 class BatchingOptions:
-    """Switches for the simulator's epoch-batched fast path.
+    """Switches for the simulator's epoch-batched fast paths.
 
-    ``micro_batch`` — drain queued tuples into per-epoch batches through
-    ``execute_batch`` (bolts without that entry point keep running
-    tuple-at-a-time).
-    ``max_batch`` — upper bound on tuples per batch, so one deep queue
-    cannot monopolize a core for arbitrarily long.
+    ``max_batch`` — upper bound on tuples per execution for bolts that
+    override ``execute_batch`` (other bolts always run one tuple at a
+    time), so one deep queue cannot monopolize a core for arbitrarily
+    long.  ``max_batch=1`` is serial execution: the simulator without
+    ``BatchingOptions`` is exactly a batch of one.
     ``combiners`` — sender-side pre-aggregation plan: ``(src component,
     dst component) -> the consumer's head OpKeyedUnordered`` (whose
     ``fold_in``/``combine`` the combiner reuses).  Build it with
     :func:`plan_combiners`; an empty dict disables combining.
     """
 
-    micro_batch: bool = True
     max_batch: int = 512
     combiners: Dict[Tuple[str, str], OpKeyedUnordered] = field(
         default_factory=dict
@@ -62,14 +63,12 @@ class BatchingOptions:
     def for_compiled(
         cls,
         compiled,
-        micro_batch: bool = True,
         combine: bool = True,
         max_batch: int = 512,
     ) -> "BatchingOptions":
         """Options for a :class:`~repro.compiler.compile.CompiledTopology`,
         with the combiner plan derived from its typed edges."""
         return cls(
-            micro_batch=micro_batch,
             max_batch=max_batch,
             combiners=plan_combiners(compiled) if combine else {},
         )

@@ -28,9 +28,11 @@ canonical sink traces are *trace-equivalent* to the fault-free run's —
 not byte-equal, which would be both unattainable and unnecessary.
 
 This module also hosts the in-process twin: :func:`run_with_recovery`
-drives a :class:`~repro.compiler.inprocess.InProcessPipeline` (serial or
-batched) epoch-by-epoch with ``snapshot()`` / ``restore()`` around
-injected crashes and optional link faults on the ingest streams.
+drives a :class:`~repro.compiler.inprocess.InProcessPipeline`
+epoch-by-epoch through its one entry point, ``push_batch`` (whole epoch
+blocks, or one-event blocks when unbatched), with ``snapshot()`` /
+``restore()`` around injected crashes and optional link faults on the
+ingest streams.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
             pipe.push_batch(name, block)
         else:
             for event in block:
-                pipe.push(name, event)
+                pipe.push_batch(name, [event])
 
     epoch = 0
     while epoch < n_epochs:

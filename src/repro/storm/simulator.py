@@ -41,13 +41,11 @@ from repro.storm.costs import CostModel, UniformCostModel
 from repro.storm.faults import FaultPlan, Resequencer
 from repro.storm.groupings import Grouping
 from repro.storm.recovery import CheckpointStore, RecoveryOptions, RecoveryStats
-from repro.storm.topology import CaptureBolt, OutputCollector, Spout, Topology
+from repro.storm.topology import (
+    Bolt, CaptureBolt, OutputCollector, Spout, Topology,
+)
 from repro.obs import ObsContext
 from repro.storm.tuples import StormTuple
-
-#: Shared placeholder for runs that skip the per-member cost breakdown
-#: (monitors-only instrumentation); never mutated.
-_NO_BREAKDOWN: List[Tuple[str, float, int]] = []
 
 TaskKey = Tuple[str, int]
 
@@ -144,7 +142,7 @@ class _TaskRuntime:
         "collector",
         "queue",
         "running",
-        "batchable",
+        "max_batch",
         "combiners",
         "executions",
         "crash_after",
@@ -169,10 +167,11 @@ class _TaskRuntime:
         # in-flight execution (a scheduled "done" event).
         self.queue: "deque" = deque()
         self.running = False
-        # Micro-batching eligibility and sender-side combiner buffers
-        # (consumer -> {key: pending monoid aggregate}); populated by
-        # Simulator.run when a BatchingOptions licenses them.
-        self.batchable = False
+        # Most tuples one execution may drain, and sender-side combiner
+        # buffers (consumer -> {key: pending monoid aggregate}); raised
+        # and populated by Simulator.run when a BatchingOptions licenses
+        # them.
+        self.max_batch = 1
         self.combiners: Dict[str, Dict[Any, Any]] = {}
         # Fault-tolerance bookkeeping (see repro.storm.recovery):
         # lifetime invocation count, pending injected crash threshold,
@@ -211,11 +210,13 @@ class Simulator:
         bit-identical results.
     batching: optional :class:`~repro.storm.batching.BatchingOptions`
         enabling the epoch-batched fast paths — receiver-side
-        micro-batching through ``execute_batch`` (one framework overhead
-        per batch instead of per tuple) and sender-side per-key
-        combiners on type-licensed ``U(K,V)`` hash edges.  Batching
-        changes the simulated *schedule* (fewer invocations, fewer
-        shipped tuples) but never the canonical sink traces; it is
+        micro-batches of up to ``max_batch`` tuples (one framework
+        overhead per batch instead of per tuple) and sender-side per-key
+        combiners on type-licensed ``U(K,V)`` hash edges.  Every bolt
+        runs through ``execute_batch``; without batching each execution
+        is a batch of one, which is also what ``max_batch=1`` gives.
+        Batching changes the simulated *schedule* (fewer invocations,
+        fewer shipped tuples) but never the canonical sink traces; it is
         disabled automatically while ``obs`` is enabled, because the
         instrumentation records per-tuple executions.
     faults: optional :class:`~repro.storm.faults.FaultPlan` injecting
@@ -348,14 +349,15 @@ class Simulator:
         # type-checks per-tuple executions and deliveries, which the
         # batched schedule deliberately coalesces.
         batching = self.batching if not obs_on else None
-        max_batch = batching.max_batch if batching is not None else 1
         combiner_plan = batching.combiners if batching is not None else {}
         if batching is not None:
             for runtime in tasks.values():
-                if batching.micro_batch and hasattr(
-                    runtime.payload, "execute_batch"
+                if (
+                    not runtime.is_spout
+                    and type(runtime.payload).execute_batch
+                    is not Bolt.execute_batch
                 ):
-                    runtime.batchable = True
+                    runtime.max_batch = batching.max_batch
                 for consumer in downstream[runtime.component]:
                     if (runtime.component, consumer) in combiner_plan:
                         runtime.combiners[consumer] = {}
@@ -654,97 +656,63 @@ class Simulator:
             if cores is not None:
                 heapq.heappush(cores, finish)
 
-        def execution_cost(runtime: _TaskRuntime, tup: StormTuple, remote: bool) -> float:
-            cost = self.cost_model.framework_overhead
-            if remote:
-                cost += self.cost_model.remote_cpu
-            payload = runtime.payload
-            if hasattr(payload, "cost_events"):
-                # Compiled bolts report per-vertex work, so cardinality
-                # changes inside a fused chain are charged faithfully.
-                cost += self.cost_model.glue_cost(runtime.component, tup.event)
-                for vertex, events in payload.cost_events(runtime.state):
-                    for event in events:
-                        cost += self.cost_model.vertex_cost(
-                            vertex, event, runtime.index
-                        )
-            else:
-                cost += self.cost_model.cpu_cost(
-                    runtime.component, tup.event, runtime.index
-                )
-            return cost
-
-        def execution_cost_detailed(
-            runtime: _TaskRuntime, tup: StormTuple, remote: bool,
-            breakdown: List[Tuple[str, float, int]],
+        def execution_cost(
+            runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]],
+            breakdown: Optional[List[Tuple[str, float, int]]] = None,
         ) -> float:
-            """`execution_cost` with a per-member cost breakdown.
+            """Simulated CPU seconds of one execution of ``batch``.
 
-            Kept separate so the uninstrumented hot path stays exactly
-            as cheap as before.  ``breakdown`` receives
-            ``(member label, cost seconds, events consumed)`` rows."""
-            cost = self.cost_model.framework_overhead
-            if remote:
-                cost += self.cost_model.remote_cpu
-            payload = runtime.payload
-            if hasattr(payload, "cost_events"):
-                glue = self.cost_model.glue_cost(runtime.component, tup.event)
-                cost += glue
-                breakdown.append(("glue", glue, 1))
-                for vertex, events in payload.cost_events(runtime.state):
-                    vertex_total = 0.0
-                    for event in events:
-                        vertex_total += self.cost_model.vertex_cost(
-                            vertex, event, runtime.index
-                        )
-                    cost += vertex_total
-                    breakdown.append((vertex, vertex_total, len(events)))
-            else:
-                cpu = self.cost_model.cpu_cost(
-                    runtime.component, tup.event, runtime.index
-                )
-                cost += cpu
-                breakdown.append((runtime.component, cpu, 1))
-            return cost
-
-        def execution_cost_batch(
-            runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]]
-        ) -> float:
-            """Cost of one micro-batch execution.
-
-            The per-invocation framework overhead is paid once for the
-            whole batch — that is the entire point of micro-batching —
+            The per-invocation framework overhead is paid once per
+            execution — that is the entire point of micro-batching —
             while the per-tuple charges (remote deserialization, glue,
-            per-vertex CPU) are identical to the serial path, so the
+            per-vertex CPU) do not depend on the batching, so the
             simulated speedup comes only from amortized overhead, never
-            from dropped work."""
-            cost = self.cost_model.framework_overhead
+            from dropped work.  ``breakdown``, when given, receives
+            ``(member label, cost seconds, events consumed)`` rows."""
+            cost_model = self.cost_model
+            cost = cost_model.framework_overhead
+            component, index = runtime.component, runtime.index
             payload = runtime.payload
-            if hasattr(payload, "cost_events"):
-                for tup, was_remote in batch:
-                    if was_remote:
-                        cost += self.cost_model.remote_cpu
-                    cost += self.cost_model.glue_cost(
-                        runtime.component, tup.event
-                    )
+            if not hasattr(payload, "cost_events"):
+                cpu = 0.0
+                for tup, remote in batch:
+                    if remote:
+                        cost += cost_model.remote_cpu
+                    tup_cpu = cost_model.cpu_cost(component, tup.event, index)
+                    cost += tup_cpu
+                    cpu += tup_cpu
+                if breakdown is not None:
+                    breakdown.append((component, cpu, len(batch)))
+                return cost
+            # Compiled bolts report per-vertex work, so cardinality
+            # changes inside a fused chain are charged faithfully.
+            glue = 0.0
+            for tup, remote in batch:
+                if remote:
+                    cost += cost_model.remote_cpu
+                tup_glue = cost_model.glue_cost(component, tup.event)
+                cost += tup_glue
+                glue += tup_glue
+            if breakdown is None:
                 for vertex, events in payload.cost_events(runtime.state):
                     for event in events:
-                        cost += self.cost_model.vertex_cost(
-                            vertex, event, runtime.index
-                        )
-            else:
-                for tup, was_remote in batch:
-                    if was_remote:
-                        cost += self.cost_model.remote_cpu
-                    cost += self.cost_model.cpu_cost(
-                        runtime.component, tup.event, runtime.index
+                        cost += cost_model.vertex_cost(vertex, event, index)
+                return cost
+            breakdown.append(("glue", glue, len(batch)))
+            for vertex, events in payload.cost_events(runtime.state):
+                vertex_total = 0.0
+                for event in events:
+                    vertex_total += cost_model.vertex_cost(
+                        vertex, event, index
                     )
+                cost += vertex_total
+                breakdown.append((vertex, vertex_total, len(events)))
             return cost
 
         def record_execution(
             runtime: _TaskRuntime, tup: StormTuple, start: float,
             finish: float, cost: float,
-            breakdown: List[Tuple[str, float, int]], fanout: int,
+            breakdown: Optional[List[Tuple[str, float, int]]], fanout: int,
             hooks: Any, pre_markers: Optional[int],
         ) -> None:
             """Trace/measure one bolt execution (instrumented runs only)."""
@@ -840,13 +808,19 @@ class Simulator:
                     )
 
         def maybe_start(runtime: _TaskRuntime, now: float) -> None:
-            """Begin the task's next queued tuple if it is idle.
+            """Begin the task's next execution if it is idle.
 
-            The core is reserved only when the task actually starts — a
-            task waiting on its own serial stream must not hold cores
-            hostage (that would serialize co-located pipeline stages)."""
+            One execution drains up to the task's ``max_batch`` queued
+            tuples and runs them through ``execute_batch``; a batch
+            always ends at its first marker (epoch granularity), so
+            marker alignment is timed exactly as in serial execution,
+            which is a batch of one.  The core is reserved only when
+            the task actually starts — a task waiting on its own serial
+            stream must not hold cores hostage (that would serialize
+            co-located pipeline stages)."""
             nonlocal makespan
-            if runtime.running or not runtime.queue:
+            queue = runtime.queue
+            if runtime.running or not queue:
                 return
             if ft_on:
                 runtime.executions += 1
@@ -858,10 +832,18 @@ class Simulator:
                     fail_task((runtime.component, runtime.index), now,
                               "injected crash")
                     return
-            if runtime.batchable:
-                start_batch(runtime, now)
-                return
-            tup, was_remote = runtime.queue.popleft()
+            entry = queue.popleft()
+            batch = [entry]
+            last = entry[0]
+            tups = [last]
+            if runtime.max_batch > 1 and not isinstance(last.event, Marker):
+                while queue and len(batch) < runtime.max_batch:
+                    entry = queue.popleft()
+                    last = entry[0]
+                    batch.append(entry)
+                    tups.append(last)
+                    if isinstance(last.event, Marker):
+                        break
             start = now
             cores = core_free.get(runtime.machine)
             if cores is not None:
@@ -874,7 +856,9 @@ class Simulator:
                     if hooks is not None else None
                 )
             try:
-                runtime.payload.execute(runtime.state, tup, runtime.collector)
+                runtime.payload.execute_batch(
+                    runtime.state, tups, runtime.collector
+                )
             except Exception as exc:
                 if cores is not None:
                     heapq.heappush(cores, start)
@@ -887,75 +871,20 @@ class Simulator:
             if (
                 recovery_on
                 and runtime.seal_on_marker
-                and isinstance(tup.event, Marker)
+                and isinstance(last.event, Marker)
             ):
                 # Plain single-channel bolt: every executed marker seals
-                # an epoch (there is nothing to align).
-                sealed_ts = tup.event.timestamp
+                # an epoch (there is nothing to align), and it is the
+                # batch's last tuple.
+                sealed_ts = last.event.timestamp
                 runtime.last_marker = sealed_ts
                 if checkpoint_epoch(sealed_ts):
                     record_snapshot(
                         (runtime.component, runtime.index), sealed_ts,
                         runtime.payload.snapshot_state(runtime.state),
                     )
-            if tm_on:
-                breakdown: List[Tuple[str, float, int]] = []
-                cost = execution_cost_detailed(runtime, tup, was_remote, breakdown)
-            else:
-                breakdown = _NO_BREAKDOWN
-                cost = execution_cost(runtime, tup, was_remote)
-            finish = start + cost
-            machine_busy[runtime.machine] = (
-                machine_busy.get(runtime.machine, 0.0) + cost
-            )
-            if cores is not None:
-                heapq.heappush(cores, finish)
-            runtime.free_at = finish
-            runtime.running = True
-            makespan = max(makespan, finish)
-            processed[runtime.component] += 1
-            if obs_on:
-                record_execution(
-                    runtime, tup, start, finish, cost, breakdown,
-                    len(outputs), hooks, pre_markers,
-                )
-            route(runtime, outputs, finish)
-            schedule(finish, "done", (runtime.component, runtime.index))
-
-        def start_batch(runtime: _TaskRuntime, now: float) -> None:
-            """Drain one epoch-capped micro-batch and execute it at once.
-
-            The batch stops after the first marker (epoch granularity),
-            so marker alignment is timed exactly as in the serial
-            engine, and at ``max_batch`` tuples, so one deep queue
-            cannot monopolize a core arbitrarily long."""
-            nonlocal makespan
-            queue = runtime.queue
-            batch: List[Tuple[StormTuple, bool]] = []
-            while queue and len(batch) < max_batch:
-                entry = queue.popleft()
-                batch.append(entry)
-                if isinstance(entry[0].event, Marker):
-                    break
-            start = now
-            cores = core_free.get(runtime.machine)
-            if cores is not None:
-                earliest = heapq.heappop(cores)
-                start = max(start, earliest)
-            try:
-                runtime.payload.execute_batch(
-                    runtime.state, [tup for tup, _ in batch], runtime.collector
-                )
-            except Exception as exc:
-                if cores is not None:
-                    heapq.heappush(cores, start)
-                runtime.collector.drain()
-                if recovery_on:
-                    recover_all(now, f"operator exception: {exc}")
-                    return
-                raise task_failure(runtime, exc) from exc
-            outputs = runtime.collector.drain()
-            cost = execution_cost_batch(runtime, batch)
+            breakdown = [] if tm_on else None
+            cost = execution_cost(runtime, batch, breakdown)
             finish = start + cost
             machine_busy[runtime.machine] = (
                 machine_busy.get(runtime.machine, 0.0) + cost
@@ -966,6 +895,11 @@ class Simulator:
             runtime.running = True
             makespan = max(makespan, finish)
             processed[runtime.component] += len(batch)
+            if obs_on:
+                record_execution(
+                    runtime, last, start, finish, cost, breakdown,
+                    len(outputs), hooks, pre_markers,
+                )
             route(runtime, outputs, finish)
             schedule(finish, "done", (runtime.component, runtime.index))
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import TopologyError
 from repro.operators.base import Event
@@ -77,11 +79,13 @@ class IteratorSpout(Spout):
 
 
 class Bolt:
-    """A processing vertex.  Subclasses override :meth:`execute`.
+    """A processing vertex.  Subclasses override :meth:`execute` (Storm's
+    per-tuple API) or :meth:`execute_batch`.
 
     Bolts are *factories*: per-task state is created by :meth:`prepare`
-    (returning the state object) and threaded through :meth:`execute`,
-    so one Bolt object can back many task instances.
+    (returning the state object) and threaded through the execute calls,
+    so one Bolt object can back many task instances.  The simulator
+    only ever calls :meth:`execute_batch`.
     """
 
     def prepare(self, task_index: int, n_tasks: int) -> Any:
@@ -90,6 +94,19 @@ class Bolt:
 
     def execute(self, state: Any, tup: StormTuple, collector: OutputCollector) -> None:
         raise NotImplementedError
+
+    def execute_batch(
+        self, state: Any, tups: Sequence[StormTuple], collector: OutputCollector
+    ) -> None:
+        """Process a batch of deliveries, in order.
+
+        The default runs :meth:`execute` per tuple.  The simulator hands
+        such bolts one tuple at a time; a bolt that overrides this method
+        may receive micro-batches (see
+        :class:`~repro.storm.batching.BatchingOptions`).
+        """
+        for tup in tups:
+            self.execute(state, tup, collector)
 
     def snapshot_state(self, state: Any) -> Any:
         """Capture per-task state for an epoch-aligned checkpoint.

@@ -17,7 +17,8 @@ paths'.  Three layers are checked here:
 - **engines** — the Section 2 motivation pipeline compiled and run on
   the simulated cluster, serial vs. micro-batched + combined, across
   seeds: every run must reproduce the sequential denotation
-  (seed-sweep invariance of the batched engine).
+  (seed-sweep invariance of the batched engine); and serial execution
+  must be exactly the batched engine with batches of one.
 """
 
 from __future__ import annotations
@@ -316,9 +317,7 @@ class TestSimulatorBatchingParity:
         elif batching_mode == "micro":
             batching = BatchingOptions.for_compiled(compiled, combine=False)
         elif batching_mode == "combine":
-            batching = BatchingOptions.for_compiled(
-                compiled, micro_batch=False
-            )
+            batching = BatchingOptions.for_compiled(compiled, max_batch=1)
         else:
             batching = BatchingOptions.for_compiled(compiled)
         simulator = Simulator(
@@ -363,3 +362,75 @@ class TestSimulatorBatchingParity:
         ).run()
         trace = events_to_trace(compiled.sinks["SINK"].aligned_events, False)
         assert trace == baseline
+
+
+class TestSerialIsBatchOfOne:
+    """The unbatched simulator is the batched engine with batches of one:
+    ``batching=None`` and ``max_batch=1`` without combiners must yield
+    bit-identical reports — same schedule, not just the same trace."""
+
+    @staticmethod
+    def reports(build, seed):
+        out = []
+        for batching_for in (
+            lambda compiled: None,
+            lambda compiled: BatchingOptions.for_compiled(
+                compiled, max_batch=1, combine=False
+            ),
+        ):
+            compiled = build()
+            report = Simulator(
+                compiled.topology, Cluster(3, cores_per_machine=2),
+                seed=seed, batching=batching_for(compiled),
+            ).run()
+            out.append((report, compiled.sinks["SINK"].aligned_events))
+        return out
+
+    @staticmethod
+    def assert_identical(reports):
+        (serial, serial_sink), (one, one_sink) = reports
+        assert serial.makespan == one.makespan
+        assert serial.processed == one.processed
+        assert serial.sink_tuples == one.sink_tuples
+        assert serial.sink_delivery_times == one.sink_delivery_times
+        assert serial == one
+        assert serial_sink == one_sink
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_iot(self, seed):
+        events = SensorWorkload(
+            n_sensors=3, duration=30, marker_period=10
+        ).events()
+
+        def build():
+            return compile_dag(
+                iot_typed_dag(parallelism=2),
+                {"SENSOR": source_from_events(events, parallelism=2)},
+            )
+
+        self.assert_identical(self.reports(build, seed))
+
+    @pytest.fixture(scope="class")
+    def fig6_inputs(self):
+        from repro.apps.smarthomes import SmartHomesWorkload, train_predictor
+
+        workload = SmartHomesWorkload(
+            n_buildings=2, units_per_building=2, plugs_per_unit=2,
+            duration=60,
+        )
+        models = train_predictor(horizon=120, train_seconds=600, past=60)
+        return workload, workload.events(), models
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fig6(self, fig6_inputs, seed):
+        from repro.apps.smarthomes import smart_homes_dag
+
+        workload, events, models = fig6_inputs
+
+        def build():
+            dag = smart_homes_dag(
+                workload.make_database(), models, parallelism=3
+            )
+            return compile_dag(dag, {"hub": source_from_events(events, 2)})
+
+        self.assert_identical(self.reports(build, seed))

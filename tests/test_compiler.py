@@ -187,7 +187,7 @@ class TestGlue:
         )
         state = bolt.prepare(0, 1)
         collector = OutputCollector()
-        bolt.execute(state, StormTuple(KV("a", 1), "up", 0), collector)
+        bolt.execute_batch(state, [StormTuple(KV("a", 1), "up", 0)], collector)
         assert collector.drain() == [KV("a", 20)]
 
     def test_aligned_capture_requires_parallelism_one(self):

@@ -54,9 +54,9 @@ class TestInProcessBackend:
 
     def test_incremental_push(self):
         pipeline = compile_inprocess(pipeline_dag())
-        pipeline.push("src", KV("a", 2))
+        pipeline.push_batch("src", [KV("a", 2)])
         assert pipeline.outputs("out") == []
-        pipeline.push("src", Marker(1))
+        pipeline.push_batch("src", [Marker(1)])
         assert pipeline.outputs("out") == [KV("a", 1), Marker(1)]
 
     def test_multi_source_merge(self):
@@ -131,4 +131,4 @@ class TestInProcessBackend:
     def test_unknown_source_rejected(self):
         pipeline = compile_inprocess(pipeline_dag())
         with pytest.raises(CompilationError):
-            pipeline.push("ghost", KV("a", 1))
+            pipeline.push_batch("ghost", [KV("a", 1)])

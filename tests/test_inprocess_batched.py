@@ -4,7 +4,7 @@ Covers the epoch-batched execution mode of
 :class:`~repro.compiler.inprocess.InProcessPipeline` (``batched=True``)
 and two fixed engine bugs:
 
-- ``_push_edge`` used to move events by *recursion*, so a pipeline
+- the worklist used to move events by *recursion*, so a pipeline
   deeper than the interpreter's recursion limit crashed with
   ``RecursionError`` — it now uses an iterative worklist;
 - ``run`` used to keep polling exhausted sources in its round-robin,
@@ -74,8 +74,8 @@ class TestDeepChainRegression:
     def test_chain_deeper_than_recursion_limit(self):
         depth = sys.getrecursionlimit() + 100
         pipeline = compile_inprocess(chain_dag(depth))
-        pipeline.push("src", KV("a", 0))
-        pipeline.push("src", Marker(1))
+        pipeline.push_batch("src", [KV("a", 0)])
+        pipeline.push_batch("src", [Marker(1)])
         assert pipeline.outputs("out") == [KV("a", depth), Marker(1)]
 
     def test_deep_chain_batched(self):
@@ -126,16 +126,16 @@ class TestBatchedParity:
                 assert events_to_trace(serial["out"], False) == base
                 assert events_to_trace(batched["out"], False) == base
 
-    def test_push_and_push_batch_mix(self):
+    def test_block_sizes_mix(self):
         dag = chain_dag(2)
         stream = random_stream(9)
         serial = compile_inprocess(dag)
         for event in stream:
-            serial.push("src", event)
+            serial.push_batch("src", [event])
         mixed = compile_inprocess(dag)
         mixed.push_batch("src", stream[:3])
         for event in stream[3:5]:
-            mixed.push("src", event)
+            mixed.push_batch("src", [event])
         mixed.push_batch("src", stream[5:])
         assert mixed.outputs("out") == serial.outputs("out")
 

@@ -34,8 +34,12 @@ from repro.storm.faults import (
     FaultPlan,
     MachineFault,
 )
+from repro.storm.groupings import GlobalGrouping
 from repro.storm.local import events_to_trace
 from repro.storm.recovery import RecoveryOptions
+from repro.storm.topology import (
+    Bolt, CaptureBolt, IteratorSpout, TopologyBuilder,
+)
 from repro.traces.trace_type import ordered_type, unordered_type
 
 U = unordered_type()
@@ -307,3 +311,87 @@ class TestRecoveryReport:
     def test_no_faults_no_recovery_has_no_stats(self):
         _, report = run()
         assert report.recovery is None
+
+
+class RunningSumBolt(Bolt):
+    """A hand-written, single-channel bolt with per-key state: emits
+    each key's running sum and forwards markers (no merge frontend, no
+    seal hook — the simulator checkpoints it at every executed marker)."""
+
+    def prepare(self, task_index, n_tasks):
+        return {}
+
+    def execute(self, state, tup, collector):
+        event = tup.event
+        if isinstance(event, Marker):
+            collector.emit(event)
+            return
+        state[event.key] = state.get(event.key, 0) + event.value
+        collector.emit(KV(event.key, state[event.key]))
+
+
+class BatchedRunningSumBolt(RunningSumBolt):
+    """The same bolt with its own ``execute_batch``, so micro-batching
+    hands it real batches — each of which must end at its first marker
+    for the marker checkpoint to cut at an epoch boundary."""
+
+    def __init__(self):
+        self.batches = []
+
+    def execute_batch(self, state, tups, collector):
+        self.batches.append([type(tup.event) for tup in tups])
+        for tup in tups:
+            self.execute(state, tup, collector)
+
+
+class TestPlainBoltRecovery:
+    """spout -> plain single-channel bolt -> CaptureBolt, parallelism 1:
+    the marker checkpoint of bolts without a seal hook."""
+
+    def run(self, bolt, batching, crash_at=None):
+        events = stream(seed=3)
+        builder = TopologyBuilder("plain")
+        builder.set_spout(
+            "SRC", IteratorSpout(lambda index, n: iter(events)), 1
+        )
+        builder.set_bolt("SUM", bolt, 1).grouping("SRC", GlobalGrouping())
+        sink = CaptureBolt()
+        builder.set_bolt("OUT", sink, 1).grouping("SUM", GlobalGrouping())
+        faults = None
+        if crash_at is not None:
+            faults = FaultPlan(crashes=(CrashFault("SUM", at_time=crash_at),))
+        report = Simulator(
+            builder.build(), Cluster(2, cores_per_machine=1), seed=1,
+            batching=BatchingOptions() if batching else None,
+            faults=faults,
+            recovery=RecoveryOptions() if faults is not None else None,
+        ).run()
+        return sink.events(), report
+
+    @pytest.mark.parametrize("bolt_class", [RunningSumBolt,
+                                            BatchedRunningSumBolt])
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_crash_recovers_to_fault_free_output(self, bolt_class, batching):
+        expected, plain = self.run(bolt_class(), batching)
+        recovered, report = self.run(
+            bolt_class(), batching, crash_at=plain.makespan / 2
+        )
+        assert recovered == expected
+        stats = report.recovery
+        assert stats.recoveries == 1
+        # Every epoch completed, so SUM snapshotted at each of its
+        # markers; the crash rolled back to a mid-run epoch.
+        assert stats.complete_epochs == 6
+        assert stats.checkpoints_taken >= 3 * 6
+        assert stats.last_restored_epoch is not None
+        assert stats.replayed_events > 0
+
+    def test_batches_end_at_their_first_marker(self):
+        bolt = BatchedRunningSumBolt()
+        self.run(bolt, batching=True)
+        assert max(len(batch) for batch in bolt.batches) > 1
+        for batch in bolt.batches:
+            assert Marker not in batch[:-1]
+        serial = BatchedRunningSumBolt()
+        self.run(serial, batching=False)
+        assert all(len(batch) == 1 for batch in serial.batches)
