@@ -11,10 +11,10 @@ any extra coordination traffic: the markers the type system already
 mandates *are* the snapshot barriers.
 
 Recovery is global rollback, Flink-style: on any task failure the
-coordinator restores the last epoch whose snapshot is complete across
-all tasks, discards in-flight messages, replays sources from the
-snapshot's log position, and relies on two mechanisms for exactly-once
-*semantics*:
+simulator's :class:`FaultCoordinator` restores the last epoch whose
+snapshot is complete across all tasks, discards in-flight messages,
+replays sources from the snapshot's log position, and relies on two
+mechanisms for exactly-once *semantics*:
 
 - per-link sequence numbering + :class:`~repro.storm.faults.Resequencer`
   filtering turns the at-least-once links into exactly-once links;
@@ -41,9 +41,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TaskFailureError
 from repro.operators.base import Marker
-from repro.storm.faults import EdgeFaults, apply_edge_faults, recover_stream
+from repro.storm.faults import (
+    CrashFault,
+    EdgeFaults,
+    FaultPlan,
+    Resequencer,
+    apply_edge_faults,
+    recover_stream,
+)
+from repro.storm.topology import CaptureBolt
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,296 @@ class CheckpointStore:
         return len(self._complete)
 
 
+class FaultCoordinator:
+    """The simulator's fault-injection and recovery layer.
+
+    ``Simulator.run`` builds one for a :class:`~repro.storm.faults.FaultPlan`
+    or :class:`RecoveryOptions` and calls it only at its execute,
+    spout-emission, send, deliver, fault-event and rollback sites.  It
+    owns the fault RNG (never the scheduling RNG), the edge-fault table,
+    crash thresholds, epoch index, :class:`CheckpointStore`, seal
+    callbacks, per-link numbering and resequencers, and the
+    :class:`RecoveryStats`.  ``schedule``/``report`` are the core's heap
+    push and report function; ``restart(now, at, epoch)`` is the core's
+    half of a rollback.  Without ``recovery`` faults are raw and the
+    core raises on a crash.
+    """
+
+    def __init__(self, topology, tasks: Dict[Any, Any],
+                 faults: Optional[FaultPlan],
+                 recovery: Optional[RecoveryOptions], *,
+                 schedule: Callable[..., None], report: Callable[[], Any],
+                 restart: Callable[[float, float, Any], None]):
+        self.topology = topology
+        self.tasks = tasks
+        self.recovery = recovery
+        self.schedule = schedule
+        self.report = report
+        self.restart = restart
+        self.stats = RecoveryStats()
+        self.fault_rng = random.Random(faults.seed) if faults is not None else None
+        #: (src component, dst component) -> active faults on that edge.
+        self.edges: Dict[Tuple[str, str], EdgeFaults] = {}
+        # Per task runtime: pending crash thresholds (lifetime execution
+        # counts, ascending, each fires once) and its execution count.
+        self._crash_after: Dict[Any, List[int]] = {}
+        self._executions: Dict[Any, int] = {}
+        self._link_seq: Dict[Any, int] = {}
+        self._resequencers: Dict[Any, Resequencer] = {}
+        # Epoch timestamps in marker order as spouts first emit them.
+        self._epoch_index: Dict[Any, int] = {}
+        self._store: Optional[CheckpointStore] = None
+        self._logs: Dict[Any, List[Any]] = {}  # spout -> emission log
+        self._replay_at: Dict[Any, int] = {}  # replaying spout -> cursor
+        self._plain_seals: Dict[Any, Callable[[Any], None]] = {}
+        if faults is not None:
+            for crash in faults.crashes:
+                key = (crash.component, crash.task)
+                if key not in tasks:
+                    raise SimulationError(f"fault plan names unknown task {key}")
+                if crash.after_executions is not None:
+                    thresholds = self._crash_after.setdefault(tasks[key], [])
+                    thresholds.append(crash.after_executions)
+                    thresholds.sort()
+                    self._executions[tasks[key]] = 0
+            for spec in topology.components.values():
+                for consumer, _ in topology.downstream_of(spec.name):
+                    edge = faults.edge_faults(spec.name, consumer)
+                    if edge is not None and edge.active():
+                        self.edges[(spec.name, consumer)] = edge
+            for crash in faults.crashes:
+                if crash.at_time is not None:
+                    schedule(crash.at_time, "fault", None, crash)
+            for machine_fault in faults.machine_faults:
+                schedule(machine_fault.at_time, "fault", None, machine_fault)
+        if recovery is None:
+            return
+        self._store = CheckpointStore(
+            len(tasks), index_of=self._epoch_index.__getitem__
+        )
+        for runtime in tasks.values():
+            if runtime.is_spout:
+                self._logs[runtime] = []
+                continue
+            payload = runtime.payload
+            if hasattr(payload, "arm_seal_hook"):
+                payload.arm_seal_hook(runtime.state, self._seal_callback(runtime))
+                continue
+            spec = topology.components[runtime.component]
+            n_channels = sum(
+                topology.components[upstream].parallelism
+                for upstream in spec.inputs
+            )
+            if n_channels > 1:
+                raise SimulationError(
+                    "recovery needs aligned epoch snapshots, but plain "
+                    f"bolt {runtime.component!r} merges {n_channels} "
+                    "upstream task channels without a merge frontend; "
+                    "use a compiled topology or AlignedCaptureBolt"
+                )
+            if isinstance(payload, CaptureBolt) and spec.parallelism > 1:
+                raise SimulationError(
+                    f"recovery requires CaptureBolt {runtime.component!r} "
+                    "to run with parallelism 1 (its record is shared "
+                    "across tasks); use AlignedCaptureBolt"
+                )
+            self._plain_seals[runtime] = self._seal_callback(runtime)
+
+    # -- execute -------------------------------------------------------
+
+    def crashes(self, runtime) -> bool:
+        """Count one execution (or spout wakeup); True when it crosses
+        the task's next injected crash threshold."""
+        thresholds = self._crash_after.get(runtime)
+        if not thresholds:
+            return False
+        executions = self._executions[runtime] + 1
+        self._executions[runtime] = executions
+        if executions > thresholds[0]:
+            thresholds.pop(0)
+            return True
+        return False
+
+    def executed_marker(self, runtime, ts: Any) -> None:
+        """A bolt execution ended with marker ``ts``.  For a plain
+        single-channel bolt that seals the epoch (nothing to align);
+        compiled bolts seal mid-execute through their armed hook."""
+        on_seal = self._plain_seals.get(runtime)
+        if on_seal is not None:
+            on_seal(ts)
+
+    def _seal(self, runtime, ts: Any, snapshot: Callable[[], Any]) -> None:
+        """``runtime`` sealed epoch ``ts``: on a checkpoint epoch, add
+        ``snapshot()`` to the store."""
+        runtime.last_marker = ts
+        index = self._epoch_index.get(ts)
+        if index is None or (index + 1) % self.recovery.checkpoint_every:
+            return
+        key = (runtime.component, runtime.index)
+        if self._store.add(ts, key, snapshot()):
+            self.stats.complete_epochs = index + 1
+        self.stats.checkpoints_taken += 1
+
+    def _seal_callback(self, runtime) -> Callable[[Any], None]:
+        """The epoch-seal callback of a bolt task, compiled or plain."""
+        return lambda ts: self._seal(
+            runtime, ts, lambda: runtime.payload.snapshot_state(runtime.state)
+        )
+
+    # -- spout emission ------------------------------------------------
+
+    def replay(self, runtime) -> Optional[List[Any]]:
+        """A replaying spout's next logged event (as a one-event
+        emission), or ``None`` when the spout is live."""
+        cursor = self._replay_at.get(runtime)
+        if cursor is None:
+            return None
+        log = self._logs[runtime]
+        if cursor < len(log):
+            self._replay_at[runtime] = cursor + 1
+            self.stats.replayed_events += 1
+            return [log[cursor]]
+        del self._replay_at[runtime]  # caught up: go live
+        return None
+
+    def emitted(self, runtime, outputs: List[Any], live: bool) -> None:
+        """A spout emitted ``outputs`` (replayed unless ``live``): log
+        live ones, and checkpoint each marker's epoch as the emission-log
+        position just after it."""
+        log = self._logs.get(runtime)
+        if log is None:
+            return
+        if live:
+            log.extend(outputs)
+        end = len(log) if live else self._replay_at[runtime]
+        for position, event in enumerate(outputs, end - len(outputs) + 1):
+            if isinstance(event, Marker):
+                ts = event.timestamp
+                self._epoch_index.setdefault(ts, len(self._epoch_index))
+                self._seal(runtime, ts, lambda: {"log_pos": position})
+
+    # -- send and deliver ----------------------------------------------
+
+    def transmit(self, edge: EdgeFaults, link: Any, dst_key: Any, tup: Any,
+                 arrival: float, remote: bool) -> None:
+        """Schedule one transmission on a faulted link.
+
+        Every tuple draws from the fault RNG in one order: drop,
+        reorder, duplicate.  Under recovery the link is at-least-once:
+        transmissions are numbered for the receiver's resequencer,
+        markers included, and a drop becomes retransmissions.  Without
+        recovery a drop loses the tuple, and markers pass untouched (a
+        lost marker kills alignment outright; surviving that is what
+        recovery is for)."""
+        schedule, recovery = self.schedule, self.recovery
+        if recovery is not None:
+            seq_no = self._link_seq.get(link, 0)
+            self._link_seq[link] = seq_no + 1
+            tup = (seq_no, tup)
+        elif isinstance(tup.event, Marker):
+            schedule(arrival, "deliver", dst_key, tup, remote)
+            return
+        rng, stats = self.fault_rng, self.stats
+        if edge.drop and rng.random() < edge.drop:
+            if recovery is None:
+                return
+            retransmits = 1
+            while retransmits < edge.max_retransmits and rng.random() < edge.drop:
+                retransmits += 1
+            arrival += retransmits * recovery.retransmit_timeout
+            stats.retransmissions += retransmits
+        if edge.reorder and rng.random() < edge.reorder:
+            arrival += rng.random() * edge.reorder_delay
+            stats.reordered += 1
+        if edge.duplicate and rng.random() < edge.duplicate:
+            schedule(arrival + rng.random() * edge.reorder_delay, "deliver",
+                     dst_key, tup, remote)
+        schedule(arrival, "deliver", dst_key, tup, remote)
+
+    def receive(self, task_key: Any, tup: Any, remote: bool) -> List[Any]:
+        """The ``(tuple, remote)`` deliveries one arrival releases: the
+        tuple itself, or for a numbered transmission whatever its link's
+        resequencer releases (in order, duplicates filtered)."""
+        if type(tup) is not tuple:
+            return [(tup, remote)]
+        seq_no, real_tup = tup
+        link = (real_tup.channel(), task_key)
+        resequencer = self._resequencers.get(link)
+        if resequencer is None:
+            resequencer = self._resequencers[link] = Resequencer()
+        duplicates = resequencer.duplicates
+        released = resequencer.offer(seq_no, (real_tup, remote))
+        self.stats.duplicates_filtered += resequencer.duplicates - duplicates
+        return released
+
+    # -- fault events and rollback -------------------------------------
+
+    def strike(self, fault, now: float, core_free: Dict[int, List[float]]):
+        """A time-triggered fault fires.  A task crash returns the task
+        for the core to fail.  A machine failure re-places a permanently
+        lost machine's tasks on the survivors, then rolls back (or
+        raises, without recovery) and returns ``None``."""
+        if isinstance(fault, CrashFault):
+            return self.tasks[(fault.component, fault.task)]
+        if fault.permanent and fault.machine in core_free:
+            core_free.pop(fault.machine)
+            survivors = sorted(core_free)
+            if not survivors:
+                raise SimulationError("machine fault left no worker machines")
+            displaced = 0
+            for runtime in self.tasks.values():
+                if runtime.machine == fault.machine:
+                    runtime.machine = survivors[displaced % len(survivors)]
+                    displaced += 1
+        if self.recovery is None:
+            raise TaskFailureError(
+                f"machine {fault.machine} failed at t={now:.6f}",
+                machine=fault.machine, report=self.report(),
+            )
+        self.rollback(now, f"machine {fault.machine} fault")
+        return None
+
+    def rollback(self, now: float, detail: str) -> None:
+        """Global rollback to the last complete epoch snapshot.
+
+        Every task restores its checkpoint (or re-prepares, if the epoch
+        predates its first snapshot), spouts rewind to the snapshot's
+        log position, and link numbering restarts (consistent, because
+        *all* state rolls back together).  The core then discards
+        everything in flight and wakes the spouts."""
+        stats, recovery = self.stats, self.recovery
+        stats.recoveries += 1
+        if stats.recoveries > recovery.max_recoveries:
+            raise TaskFailureError(
+                f"gave up after {recovery.max_recoveries} recoveries "
+                f"(last cause: {detail})",
+                report=self.report(),
+            )
+        latest = self._store.latest()
+        epoch, snapshots = latest if latest is not None else (None, {})
+        stats.last_restored_epoch = epoch
+        self._resequencers.clear()
+        self._link_seq.clear()
+        self._store.drop_after(epoch)
+        for key, runtime in self.tasks.items():
+            runtime.last_marker = epoch
+            snapshot = snapshots.get(key)
+            if runtime.is_spout:
+                self._replay_at[runtime] = (
+                    snapshot["log_pos"] if snapshot is not None else 0
+                )
+                continue
+            payload = runtime.payload
+            if snapshot is not None:
+                runtime.state = payload.restore_state(snapshot)
+            else:
+                spec = self.topology.components[runtime.component]
+                runtime.state = payload.prepare(runtime.index, spec.parallelism)
+            if hasattr(payload, "arm_seal_hook"):
+                payload.arm_seal_hook(runtime.state, self._seal_callback(runtime))
+        self.restart(now, now + recovery.restart_delay, epoch)
+
+
 def split_epochs(events: Sequence[Any]) -> List[List[Any]]:
     """Cut an event stream into epoch blocks, each ending with its
     marker; a trailing marker-less partial block is kept as-is."""
@@ -198,10 +496,15 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
     :class:`~repro.storm.faults.Resequencer` before ingestion.
 
     The returned outputs must be canonically trace-equivalent to a plain
-    ``compile_inprocess(dag, batched).run(source_events)``.
+    ``compile_inprocess(dag, batched).run(source_events)``.  Raises
+    ``ValueError`` for ``checkpoint_every < 1``, a ``crash_fraction``
+    outside ``[0, 1]``, or a crash epoch the streams do not have.
     """
     from repro.compiler.inprocess import compile_inprocess
 
+    RecoveryOptions(checkpoint_every=checkpoint_every)
+    if not 0.0 <= crash_fraction <= 1.0:
+        raise ValueError(f"crash_fraction must be in [0, 1], got {crash_fraction}")
     stats = RecoveryStats()
     rng = random.Random(seed)
 
@@ -221,6 +524,12 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
 
     blocks = {name: split_epochs(events) for name, events in streams.items()}
     n_epochs = max((len(b) for b in blocks.values()), default=0)
+    missing = sorted(e for e in set(crash_epochs) if not 0 <= e < n_epochs)
+    if missing:
+        raise ValueError(
+            f"crash_epochs {missing} name no epoch of the {n_epochs}-epoch "
+            "input"
+        )
 
     pipe = compile_inprocess(dag, batched=batched)
     pending_crashes = sorted(set(crash_epochs))

@@ -38,13 +38,14 @@ from repro.operators.keyed_unordered import CombinedAgg
 from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster, Placement, round_robin_placement
 from repro.storm.costs import CostModel, UniformCostModel
-from repro.storm.faults import FaultPlan, Resequencer
+from repro.storm.faults import FaultPlan
 from repro.storm.groupings import Grouping
-from repro.storm.recovery import CheckpointStore, RecoveryOptions, RecoveryStats
+from repro.storm.recovery import FaultCoordinator, RecoveryOptions, RecoveryStats
 from repro.storm.topology import (
     Bolt, CaptureBolt, OutputCollector, Spout, Topology,
 )
 from repro.obs import ObsContext
+from repro.obs.simtap import SimulatorTap
 from repro.storm.tuples import StormTuple
 
 TaskKey = Tuple[str, int]
@@ -137,19 +138,13 @@ class _TaskRuntime:
         "is_spout",
         "payload",
         "state",
-        "free_at",
         "groupings",
         "collector",
         "queue",
         "running",
         "max_batch",
         "combiners",
-        "executions",
-        "crash_after",
         "last_marker",
-        "emit_log",
-        "replay_cursor",
-        "seal_on_marker",
     )
 
     def __init__(self, component, index, machine, is_spout, payload, state):
@@ -159,7 +154,6 @@ class _TaskRuntime:
         self.is_spout = is_spout
         self.payload = payload
         self.state = state
-        self.free_at = 0.0
         # downstream component -> per-sender grouping instance
         self.groupings: Dict[str, Grouping] = {}
         self.collector = OutputCollector()
@@ -173,23 +167,41 @@ class _TaskRuntime:
         # them.
         self.max_batch = 1
         self.combiners: Dict[str, Dict[Any, Any]] = {}
-        # Fault-tolerance bookkeeping (see repro.storm.recovery):
-        # lifetime invocation count, pending injected crash threshold,
-        # last sealed epoch timestamp, the spout's emission log for
-        # replay, the replay cursor into it (None = live), and whether a
-        # plain single-channel bolt snapshots on each executed marker.
-        self.executions = 0
-        # Pending injected-crash thresholds (lifetime execution counts,
-        # ascending); each fires once and is consumed.
-        self.crash_after: List[int] = []
+        # Timestamp of the last epoch this task sealed (kept by the
+        # recovery layer; reported in failure context).
         self.last_marker: Any = None
-        self.emit_log: Optional[List[Event]] = None
-        self.replay_cursor: Optional[int] = None
-        self.seal_on_marker = False
+
+    def failure(self, exc: BaseException, report: "SimulationReport"
+                ) -> TaskFailureError:
+        """This task's exception wrapped with its failure context."""
+        epoch = None
+        payload = self.payload
+        if hasattr(payload, "frontend_watermark"):
+            try:
+                epoch = payload.frontend_watermark(self.state)
+            except Exception:
+                epoch = None
+        if epoch is None:
+            epoch = self.last_marker
+        return TaskFailureError(
+            f"task {self.component}[{self.index}] on machine "
+            f"{self.machine} failed (last sealed epoch {epoch!r}): {exc}",
+            component=self.component,
+            task_index=self.index,
+            machine=self.machine,
+            epoch=epoch,
+            report=report,
+        )
 
 
 class Simulator:
     """Run a topology on a simulated cluster.
+
+    ``run`` is one event loop over tasks, per-machine cores, per-link
+    FIFO delivery and routing.  Faults/recovery
+    (:class:`~repro.storm.recovery.FaultCoordinator`) and observability
+    (:class:`~repro.obs.simtap.SimulatorTap`) are optional layers on it,
+    ``None`` when off; neither touches the scheduling RNG.
 
     Parameters
     ----------
@@ -201,13 +213,13 @@ class Simulator:
     seed: RNG seed controlling shuffle groupings and network jitter.
     max_events: safety valve against runaway topologies.
     obs: optional :class:`~repro.obs.ObsContext`; when enabled, the run
-        records per-task busy spans, queue-depth timelines, marker-epoch
-        alignment spans, and merge channel-skew gauges, and feeds any
-        attached :class:`~repro.obs.monitor.MonitorHub` every delivery
-        (type-conformance checks), source marker (frontier), and sealed
-        epoch (watermarks).  Instrumentation is read-only — it never
-        touches the RNG or the schedule, so an instrumented run produces
-        bit-identical results.
+        records one busy span per execution, queue-depth timelines,
+        marker-epoch alignment spans, and merge channel-skew gauges, and
+        feeds any attached :class:`~repro.obs.monitor.MonitorHub` every
+        delivery (type-conformance checks), source marker (frontier),
+        and sealed epoch (watermarks).  Instrumentation is read-only, so
+        an instrumented run produces bit-identical results, with or
+        without ``batching``.
     batching: optional :class:`~repro.storm.batching.BatchingOptions`
         enabling the epoch-batched fast paths — receiver-side
         micro-batches of up to ``max_batch`` tuples (one framework
@@ -216,9 +228,7 @@ class Simulator:
         runs through ``execute_batch``; without batching each execution
         is a batch of one, which is also what ``max_batch=1`` gives.
         Batching changes the simulated *schedule* (fewer invocations,
-        fewer shipped tuples) but never the canonical sink traces; it is
-        disabled automatically while ``obs`` is enabled, because the
-        instrumentation records per-tuple executions.
+        fewer shipped tuples) but never the canonical sink traces.
     faults: optional :class:`~repro.storm.faults.FaultPlan` injecting
         task crashes, machine failures, and per-edge message
         drop/duplicate/reorder.  Fault randomness draws from the plan's
@@ -266,15 +276,16 @@ class Simulator:
 
     def run(self) -> SimulationReport:
         rng = random.Random(self.seed)
+        components = self.topology.components
         tasks: Dict[TaskKey, _TaskRuntime] = {}
         downstream: Dict[str, List[str]] = {}
-        for spec in self.topology.components.values():
+        for spec in components.values():
             downstream[spec.name] = [
                 name for name, _ in self.topology.downstream_of(spec.name)
             ]
 
         # Instantiate tasks.
-        for spec in self.topology.components.values():
+        for spec in components.values():
             for index in range(spec.parallelism):
                 machine = self.placement.machine_of(spec.name, index)
                 if spec.is_spout:
@@ -295,60 +306,8 @@ class Simulator:
                     runtime.groupings[consumer] = instance
                 tasks[(spec.name, index)] = runtime
 
-        # Fault tolerance: a dedicated RNG (never the scheduling RNG, so
-        # a recovery-enabled fault-free run draws the identical schedule)
-        # plus the per-edge fault table and per-task crash thresholds.
-        faults = self.faults
-        recovery = self.recovery
-        recovery_on = recovery is not None
-        ft_on = faults is not None or recovery_on
-        fault_rng = random.Random(faults.seed) if faults is not None else None
-        stats = RecoveryStats() if ft_on else None
-        edge_faults_map: Dict[Tuple[str, str], Any] = {}
-        if faults is not None:
-            for crash in faults.crashes:
-                crash_key = (crash.component, crash.task)
-                if crash_key not in tasks:
-                    raise SimulationError(
-                        f"fault plan names unknown task {crash_key}"
-                    )
-                if crash.after_executions is not None:
-                    thresholds = tasks[crash_key].crash_after
-                    thresholds.append(crash.after_executions)
-                    thresholds.sort()
-            for spec in self.topology.components.values():
-                for consumer, _ in self.topology.downstream_of(spec.name):
-                    edge = faults.edge_faults(spec.name, consumer)
-                    if edge is not None and edge.active():
-                        edge_faults_map[(spec.name, consumer)] = edge
-
-        # Observability: precompute everything so the disabled path pays
-        # exactly one `if obs_on` check per instrumentation site.
-        obs = self.obs
-        obs_on = obs is not None and obs.enabled
-        tracer = obs.tracer if obs_on else None
-        metrics = obs.metrics if obs_on else None
-        tracer_on = obs_on and tracer.enabled
-        metrics_on = obs_on and metrics.enabled
-        # Trace/measure instrumentation (spans, frontend stats, member
-        # breakdowns) is skipped wholesale when only monitors are on, so
-        # a monitors-only run pays just the edge/progress taps.
-        tm_on = tracer_on or metrics_on
-        monitors = obs.monitors if obs_on else None
-        monitors_on = monitors is not None and monitors.enabled
-        # Tasks whose payload exposes merge-frontend hooks (CompiledBolt,
-        # AlignedCaptureBolt) get marker-epoch alignment tracing.
-        frontend_hooks: Dict[TaskKey, Any] = {}
-        if obs_on:
-            for key, runtime in tasks.items():
-                if hasattr(runtime.payload, "frontend_merge_state"):
-                    frontend_hooks[key] = runtime.payload
-
-        # Type-licensed batching (see repro.storm.batching).  Disabled
-        # wholesale under observability: the instrumentation records and
-        # type-checks per-tuple executions and deliveries, which the
-        # batched schedule deliberately coalesces.
-        batching = self.batching if not obs_on else None
+        # Type-licensed batching (see repro.storm.batching).
+        batching = self.batching
         combiner_plan = batching.combiners if batching is not None else {}
         if batching is not None:
             for runtime in tasks.values():
@@ -367,105 +326,18 @@ class Simulator:
         for machine in self.cluster.machines:
             core_free[machine.machine_id] = [0.0] * machine.cores
 
-        heap: List[Tuple[float, int, str, TaskKey, Optional[StormTuple], bool]] = []
+        heap: List[Tuple[float, int, str, Any, Any, bool]] = []
         seq = itertools.count()
 
-        def schedule(time: float, action: str, task: TaskKey, tup=None,
-                     remote: bool = False):
+        def schedule(time: float, action: str, task: Optional[TaskKey],
+                     tup=None, remote: bool = False):
             heapq.heappush(heap, (time, next(seq), action, task, tup, remote))
 
-        # Time-triggered faults enter the heap as their own actions
-        # (handled before task dispatch — a machine fault has no task).
-        if faults is not None:
-            for crash in faults.crashes:
-                if crash.at_time is not None:
-                    schedule(
-                        crash.at_time, "crash", (crash.component, crash.task)
-                    )
-            for machine_fault in faults.machine_faults:
-                schedule(
-                    machine_fault.at_time, "machine-fault", None,
-                    tup=machine_fault,
-                )
-
-        # Epoch-aligned checkpointing: epoch timestamps are indexed in
-        # marker order as spouts first emit them; a snapshot epoch is
-        # complete once every task has contributed its state at that
-        # marker boundary.
-        epoch_index: Dict[Any, int] = {}
-        ck_every = recovery.checkpoint_every if recovery_on else 1
-        store = (
-            CheckpointStore(len(tasks), index_of=epoch_index.__getitem__)
-            if recovery_on else None
-        )
-
-        def checkpoint_epoch(ts: Any) -> bool:
-            index = epoch_index.get(ts)
-            return index is not None and (index + 1) % ck_every == 0
-
-        def record_snapshot(key: TaskKey, ts: Any, snapshot: Any) -> None:
-            completed = store.add(ts, key, snapshot)
-            stats.checkpoints_taken += 1
-            if completed:
-                stats.complete_epochs = epoch_index[ts] + 1
-            if metrics_on:
-                metrics.counter(
-                    "checkpoints_taken", component=key[0]
-                ).inc()
-
-        def make_seal_cb(key: TaskKey, runtime: "_TaskRuntime"):
-            """The epoch-seal callback armed on checkpointable bolts."""
-
-            def on_seal(ts: Any) -> None:
-                runtime.last_marker = ts
-                if checkpoint_epoch(ts):
-                    record_snapshot(
-                        key, ts, runtime.payload.snapshot_state(runtime.state)
-                    )
-
-            return on_seal
-
-        if recovery_on:
-            for key, runtime in tasks.items():
-                if runtime.is_spout:
-                    runtime.emit_log = []
-                    continue
-                payload = runtime.payload
-                if hasattr(payload, "arm_seal_hook"):
-                    payload.arm_seal_hook(
-                        runtime.state, make_seal_cb(key, runtime)
-                    )
-                    continue
-                spec = self.topology.components[runtime.component]
-                n_channels = sum(
-                    self.topology.components[upstream].parallelism
-                    for upstream in spec.inputs
-                )
-                if n_channels > 1:
-                    raise SimulationError(
-                        "recovery needs aligned epoch snapshots, but plain "
-                        f"bolt {runtime.component!r} merges {n_channels} "
-                        "upstream task channels without a merge frontend; "
-                        "use a compiled topology or AlignedCaptureBolt"
-                    )
-                if isinstance(payload, CaptureBolt) and spec.parallelism > 1:
-                    raise SimulationError(
-                        f"recovery requires CaptureBolt {runtime.component!r} "
-                        "to run with parallelism 1 (its record is shared "
-                        "across tasks); use AlignedCaptureBolt"
-                    )
-                runtime.seal_on_marker = True
-
-        # Kick off all spout tasks at t=0.
-        for key, runtime in tasks.items():
-            if runtime.is_spout:
-                schedule(0.0, "spout", key)
-
-        processed: Dict[str, int] = {name: 0 for name in self.topology.components}
-        emitted: Dict[str, int] = {name: 0 for name in self.topology.components}
+        processed: Dict[str, int] = {name: 0 for name in components}
+        emitted: Dict[str, int] = {name: 0 for name in components}
         sink_deliveries: Dict[str, List[Tuple[float, int, StormTuple]]] = {
             spec.name: []
-            for spec in self.topology.components.values()
+            for spec in components.values()
             if isinstance(spec.payload, CaptureBolt)
         }
         marker_emit_times: Dict[Any, float] = {}
@@ -474,12 +346,10 @@ class Simulator:
         input_all = 0
         makespan = 0.0
         events_handled = 0
-
-        # Per-link FIFO floors, reliability-layer sequence counters, and
-        # receiver-side resequencers (the latter two only under recovery).
+        # FIFO per link: Storm guarantees in-order delivery between a
+        # fixed producer task and consumer task; jittered delays must
+        # never reorder tuples on the same link.
         link_clock: Dict[Tuple[TaskKey, TaskKey], float] = {}
-        link_seq: Dict[Tuple[TaskKey, TaskKey], int] = {}
-        link_reseq: Dict[Tuple[TaskKey, TaskKey], Resequencer] = {}
 
         def build_report() -> SimulationReport:
             """The run's report so far (also attached to failures)."""
@@ -506,155 +376,59 @@ class Simulator:
                 machine_cores={
                     m.machine_id: m.cores for m in self.cluster.machines
                 },
-                recovery=stats,
+                recovery=recovery_stats,
             )
 
-        def task_failure(
-            runtime: _TaskRuntime, exc: BaseException
-        ) -> TaskFailureError:
-            """Wrap a task's exception with its failure context."""
-            epoch = None
-            payload = runtime.payload
-            if hasattr(payload, "frontend_watermark"):
-                try:
-                    epoch = payload.frontend_watermark(runtime.state)
-                except Exception:
-                    epoch = None
-            if epoch is None:
-                epoch = runtime.last_marker
-            return TaskFailureError(
-                f"task {runtime.component}[{runtime.index}] on machine "
-                f"{runtime.machine} failed (last sealed epoch {epoch!r}): "
-                f"{exc}",
-                component=runtime.component,
-                task_index=runtime.index,
-                machine=runtime.machine,
-                epoch=epoch,
-                report=build_report(),
-            )
-
-        def fail_task(task_key: TaskKey, now: float, detail: str) -> None:
-            """An injected task crash: recover, or surface with context."""
-            runtime = tasks[task_key]
-            if not recovery_on:
-                raise task_failure(runtime, RuntimeError(detail))
-            recover_all(now, detail)
-
-        def recover_all(now: float, detail: str) -> None:
-            """Global rollback to the last complete epoch snapshot.
-
-            Every task restores its checkpoint (or re-prepares, if the
-            restored epoch predates its first snapshot), all in-flight
-            messages are discarded, the per-link reliability state is
-            reset (numbering restarts per incarnation — consistent,
-            because *all* state rolls back together), and spouts replay
-            their emission logs from the snapshot's boundary.
-            """
-            nonlocal heap
-            stats.recoveries += 1
-            if stats.recoveries > recovery.max_recoveries:
-                raise TaskFailureError(
-                    f"gave up after {recovery.max_recoveries} recoveries "
-                    f"(last cause: {detail})",
-                    report=build_report(),
-                )
-            latest = store.latest()
-            epoch, snapshots = latest if latest is not None else (None, {})
-            stats.last_restored_epoch = epoch
-            # Bank duplicate counts before the resequencers reset.
-            for resequencer in link_reseq.values():
-                stats.duplicates_filtered += resequencer.duplicates
-            link_reseq.clear()
-            link_seq.clear()
-            link_clock.clear()
-            # Purge in-flight traffic and stale task wakeups; injected
-            # future faults stay armed.
-            heap = [e for e in heap if e[2] in ("crash", "machine-fault")]
+        def restart(now: float, at: float, epoch: Any) -> None:
+            """The core's half of a rollback (task state is already
+            restored): drop everything in flight or queued except armed
+            fault events, reset link floors, wake the spouts at ``at``."""
+            heap[:] = [entry for entry in heap if entry[2] == "fault"]
             heapq.heapify(heap)
-            store.drop_after(epoch)
-            restart = now + recovery.restart_delay
+            link_clock.clear()
             for key, runtime in tasks.items():
                 runtime.queue.clear()
                 runtime.running = False
                 runtime.collector.drain()
                 for pending in runtime.combiners.values():
                     pending.clear()
-                runtime.free_at = restart
-                runtime.last_marker = epoch
-                snapshot = snapshots.get(key)
                 if runtime.is_spout:
-                    runtime.replay_cursor = (
-                        snapshot["log_pos"] if snapshot is not None else 0
-                    )
-                    schedule(restart, "spout", key)
-                    continue
-                payload = runtime.payload
-                if snapshot is not None:
-                    runtime.state = payload.restore_state(snapshot)
-                else:
-                    spec = self.topology.components[runtime.component]
-                    runtime.state = payload.prepare(
-                        runtime.index, spec.parallelism
-                    )
-                if hasattr(payload, "arm_seal_hook"):
-                    payload.arm_seal_hook(
-                        runtime.state, make_seal_cb(key, runtime)
-                    )
-            if monitors_on:
-                monitors.on_rollback(epoch, now)
-            if metrics_on:
-                metrics.counter("recoveries").inc()
-                metrics.histogram("recovery_rollback_seconds").observe(
-                    max(0.0, now - marker_emit_times.get(epoch, now))
-                )
-            if tm_on:
-                tracer.sample(
-                    "recovery", "<coordinator>", 0, now, stats.recoveries
-                )
+                    schedule(at, "spout", key)
+            if tap is not None:
+                tap.on_rollback(epoch, now)
 
-        def handle_machine_fault(fault, now: float) -> None:
-            """Crash every task on a machine; permanent faults also
-            remove the machine and re-place its tasks on survivors."""
-            if fault.permanent and fault.machine in core_free:
-                core_free.pop(fault.machine)
-                survivors = sorted(core_free)
-                if not survivors:
-                    raise SimulationError(
-                        "machine fault left no worker machines"
-                    )
-                displaced = 0
-                for runtime in tasks.values():
-                    if runtime.machine == fault.machine:
-                        runtime.machine = survivors[
-                            displaced % len(survivors)
-                        ]
-                        displaced += 1
-            if not recovery_on:
-                raise TaskFailureError(
-                    f"machine {fault.machine} failed at t={now:.6f}",
-                    machine=fault.machine,
-                    report=build_report(),
-                )
-            recover_all(now, f"machine {fault.machine} fault")
+        # The optional layers.  Fault events are scheduled by the
+        # coordinator here, ahead of the spouts' first wakeups.
+        ft: Optional[FaultCoordinator] = None
+        recovery_stats: Optional[RecoveryStats] = None
+        edge_faults: Dict[Tuple[str, str], Any] = {}
+        if self.faults is not None or self.recovery is not None:
+            ft = FaultCoordinator(
+                self.topology, tasks, self.faults, self.recovery,
+                schedule=schedule, report=build_report, restart=restart,
+            )
+            recovery_stats = ft.stats
+            edge_faults = ft.edges
+        obs = self.obs
+        tap = (
+            SimulatorTap(obs, tasks, marker_emit_times)
+            if obs is not None and obs.enabled else None
+        )
 
-        def begin_processing(runtime: _TaskRuntime, ready_time: float) -> float:
-            """Account core + task availability; return the start time.
+        # Kick off all spout tasks at t=0.
+        for key, runtime in tasks.items():
+            if runtime.is_spout:
+                schedule(0.0, "spout", key)
 
-            Used by the spout path, whose emissions are self-paced (the
-            ready time *is* when the task wants the core, so reserving
-            at pop time is accurate)."""
-            start = max(ready_time, runtime.free_at)
-            cores = core_free.get(runtime.machine)
-            if cores is not None:
-                earliest = heapq.heappop(cores)
-                start = max(start, earliest)
-            return start
-
-        def finish_processing(runtime: _TaskRuntime, finish: float) -> None:
-            runtime.free_at = finish
-            cores = core_free.get(runtime.machine)
-            if cores is not None:
-                heapq.heappush(cores, finish)
+        def fail(runtime: _TaskRuntime, now: float,
+                 detail: str = "injected crash",
+                 exc: Optional[BaseException] = None) -> None:
+            """A task failed: roll back under recovery, else surface the
+            failure with its context."""
+            if ft is None or ft.recovery is None:
+                raise runtime.failure(exc or RuntimeError(detail),
+                                      build_report()) from exc
+            ft.rollback(now, detail)
 
         def execution_cost(
             runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]],
@@ -667,22 +441,19 @@ class Simulator:
             while the per-tuple charges (remote deserialization, glue,
             per-vertex CPU) do not depend on the batching, so the
             simulated speedup comes only from amortized overhead, never
-            from dropped work.  ``breakdown``, when given, receives
-            ``(member label, cost seconds, events consumed)`` rows."""
+            from dropped work.  ``breakdown``, when given, receives a
+            compiled bolt's ``(member label, cost seconds, events
+            consumed)`` rows; the returned total is the same either
+            way, because every charge is added to it one at a time."""
             cost_model = self.cost_model
             cost = cost_model.framework_overhead
             component, index = runtime.component, runtime.index
             payload = runtime.payload
             if not hasattr(payload, "cost_events"):
-                cpu = 0.0
                 for tup, remote in batch:
                     if remote:
                         cost += cost_model.remote_cpu
-                    tup_cpu = cost_model.cpu_cost(component, tup.event, index)
-                    cost += tup_cpu
-                    cpu += tup_cpu
-                if breakdown is not None:
-                    breakdown.append((component, cpu, len(batch)))
+                    cost += cost_model.cpu_cost(component, tup.event, index)
                 return cost
             # Compiled bolts report per-vertex work, so cardinality
             # changes inside a fused chain are charged faithfully.
@@ -693,119 +464,17 @@ class Simulator:
                 tup_glue = cost_model.glue_cost(component, tup.event)
                 cost += tup_glue
                 glue += tup_glue
-            if breakdown is None:
-                for vertex, events in payload.cost_events(runtime.state):
-                    for event in events:
-                        cost += cost_model.vertex_cost(vertex, event, index)
-                return cost
-            breakdown.append(("glue", glue, len(batch)))
+            if breakdown is not None:
+                breakdown.append(("glue", glue, len(batch)))
             for vertex, events in payload.cost_events(runtime.state):
                 vertex_total = 0.0
                 for event in events:
-                    vertex_total += cost_model.vertex_cost(
-                        vertex, event, index
-                    )
-                cost += vertex_total
-                breakdown.append((vertex, vertex_total, len(events)))
+                    charge = cost_model.vertex_cost(vertex, event, index)
+                    cost += charge
+                    vertex_total += charge
+                if breakdown is not None:
+                    breakdown.append((vertex, vertex_total, len(events)))
             return cost
-
-        def record_execution(
-            runtime: _TaskRuntime, tup: StormTuple, start: float,
-            finish: float, cost: float,
-            breakdown: Optional[List[Tuple[str, float, int]]], fanout: int,
-            hooks: Any, pre_markers: Optional[int],
-        ) -> None:
-            """Trace/measure one bolt execution (instrumented runs only)."""
-            comp, idx = runtime.component, runtime.index
-            if tm_on:
-                tracer.sample(
-                    "queue_depth", comp, idx, start, len(runtime.queue)
-                )
-                tracer.exec_span(
-                    comp, idx, runtime.machine, start, finish,
-                    {"event": type(tup.event).__name__, "fanout": fanout},
-                )
-                if metrics_on:
-                    metrics.counter("tuples_processed", component=comp).inc()
-                    metrics.counter(
-                        "task_busy_seconds", component=comp, task=idx
-                    ).inc(cost)
-                    metrics.counter("emit_fanout", component=comp).inc(fanout)
-                # Per-fused-member sub-spans tile the execution interval in
-                # chain order (glue first), so chrome://tracing shows where
-                # inside the chain the time went.
-                if len(breakdown) > 1:
-                    cursor = start
-                    for vertex, vertex_cost, n_events in breakdown:
-                        tracer.member_span(
-                            comp, idx, runtime.machine, vertex,
-                            cursor, cursor + vertex_cost, n_events,
-                        )
-                        cursor += vertex_cost
-                        if metrics_on and vertex != "glue":
-                            metrics.counter(
-                                "member_events", component=comp, vertex=vertex
-                            ).inc(n_events)
-                            metrics.counter(
-                                "member_cpu_seconds", component=comp,
-                                vertex=vertex,
-                            ).inc(vertex_cost)
-            if hooks is None:
-                return
-            # Marker-epoch alignment: if this execution raised the merge
-            # frontend's emitted-marker count, the delivered marker was
-            # the laggard completing its epoch — close the epoch span.
-            merge_state = hooks.frontend_merge_state(runtime.state)
-            sealed = (
-                pre_markers is not None
-                and merge_state.emitted_markers > pre_markers
-                and isinstance(tup.event, Marker)
-            )
-            if sealed and monitors_on:
-                monitors.on_epoch_sealed(comp, idx, tup.event.timestamp, finish)
-            if not tm_on:
-                return
-            if sealed:
-                stats = hooks.frontend_stats(runtime.state)
-                wait = tracer.epoch_release(
-                    comp, idx, tup.event.timestamp, finish,
-                    {"buffered_after": stats["buffered_tuples"]},
-                )
-                if metrics_on:
-                    metrics.counter(
-                        "epochs_aligned", component=comp, task=idx
-                    ).inc(merge_state.emitted_markers - pre_markers)
-                    if wait is not None:
-                        metrics.histogram(
-                            "epoch_wait_seconds", component=comp
-                        ).observe(wait)
-            else:
-                stats = hooks.frontend_stats(runtime.state)
-            if metrics_on:
-                skew_gauge = metrics.gauge("merge_skew", component=comp, task=idx)
-                skew_gauge.set_max(
-                    stats["skew"],
-                    note=str(stats["laggard"])
-                    if stats["laggard"] is not None else None,
-                )
-                buffered = stats["buffered_tuples"]
-                buffered_gauge = metrics.gauge(
-                    "merge_buffered_tuples", component=comp, task=idx
-                )
-                new_peak = buffered > 0 and (
-                    buffered_gauge.max is None or buffered > buffered_gauge.max
-                )
-                buffered_gauge.set_max(buffered)
-                if new_peak:
-                    # Sizing walks every buffered event, so only do it
-                    # when the buffer hits a new high-water mark.
-                    metrics.gauge(
-                        "merge_buffered_bytes", component=comp, task=idx
-                    ).set_max(
-                        hooks.frontend_stats(runtime.state, with_bytes=True)[
-                            "buffered_bytes"
-                        ]
-                    )
 
         def maybe_start(runtime: _TaskRuntime, now: float) -> None:
             """Begin the task's next execution if it is idle.
@@ -822,16 +491,9 @@ class Simulator:
             queue = runtime.queue
             if runtime.running or not queue:
                 return
-            if ft_on:
-                runtime.executions += 1
-                if (
-                    runtime.crash_after
-                    and runtime.executions > runtime.crash_after[0]
-                ):
-                    runtime.crash_after.pop(0)  # each threshold fires once
-                    fail_task((runtime.component, runtime.index), now,
-                              "injected crash")
-                    return
+            if ft is not None and ft.crashes(runtime):
+                fail(runtime, now)
+                return
             entry = queue.popleft()
             batch = [entry]
             last = entry[0]
@@ -849,12 +511,6 @@ class Simulator:
             if cores is not None:
                 earliest = heapq.heappop(cores)
                 start = max(start, earliest)
-            if obs_on:
-                hooks = frontend_hooks.get((runtime.component, runtime.index))
-                pre_markers = (
-                    hooks.frontend_merge_state(runtime.state).emitted_markers
-                    if hooks is not None else None
-                )
             try:
                 runtime.payload.execute_batch(
                     runtime.state, tups, runtime.collector
@@ -863,70 +519,43 @@ class Simulator:
                 if cores is not None:
                     heapq.heappush(cores, start)
                 runtime.collector.drain()
-                if recovery_on:
-                    recover_all(now, f"operator exception: {exc}")
-                    return
-                raise task_failure(runtime, exc) from exc
+                fail(runtime, now, f"operator exception: {exc}", exc)
+                return
             outputs = runtime.collector.drain()
-            if (
-                recovery_on
-                and runtime.seal_on_marker
-                and isinstance(last.event, Marker)
-            ):
-                # Plain single-channel bolt: every executed marker seals
-                # an epoch (there is nothing to align), and it is the
-                # batch's last tuple.
-                sealed_ts = last.event.timestamp
-                runtime.last_marker = sealed_ts
-                if checkpoint_epoch(sealed_ts):
-                    record_snapshot(
-                        (runtime.component, runtime.index), sealed_ts,
-                        runtime.payload.snapshot_state(runtime.state),
-                    )
-            breakdown = [] if tm_on else None
-            cost = execution_cost(runtime, batch, breakdown)
+            if ft is not None and isinstance(last.event, Marker):
+                ft.executed_marker(runtime, last.event.timestamp)
+            if tap is None:
+                cost = execution_cost(runtime, batch)
+            else:
+                breakdown: List[Tuple[str, float, int]] = []
+                cost = execution_cost(runtime, batch, breakdown)
+                tap.on_execute(
+                    runtime, last, len(batch), start, cost, breakdown,
+                    len(outputs),
+                )
             finish = start + cost
             machine_busy[runtime.machine] = (
                 machine_busy.get(runtime.machine, 0.0) + cost
             )
             if cores is not None:
                 heapq.heappush(cores, finish)
-            runtime.free_at = finish
             runtime.running = True
             makespan = max(makespan, finish)
             processed[runtime.component] += len(batch)
-            if obs_on:
-                record_execution(
-                    runtime, last, start, finish, cost, breakdown,
-                    len(outputs), hooks, pre_markers,
-                )
             route(runtime, outputs, finish)
             schedule(finish, "done", (runtime.component, runtime.index))
-
-        # FIFO per link: Storm guarantees in-order delivery between a fixed
-        # producer task and consumer task; jittered delays must never
-        # reorder tuples on the same link.  (link_clock lives next to the
-        # reliability-layer maps above so rollback can reset all three.)
 
         def send(
             runtime: _TaskRuntime, tup: StormTuple, consumer: str, at: float
         ) -> None:
-            """Ship one tuple to every selected task of ``consumer``.
-
-            Under recovery every transmission is numbered per link and
-            delivered through the receiver's resequencer ("rdeliver"):
-            the link is at-least-once, so an injected drop becomes a
-            late retransmission, a duplicate is filtered on arrival, and
-            a reorder (which deliberately bypasses the FIFO floor) is
-            buffered until the gap fills.  Without recovery the faults
-            are raw — drops lose the tuple outright.
-            """
+            """Ship one tuple to every selected task of ``consumer``;
+            links with injected faults go through the coordinator."""
             grouping = runtime.groupings[consumer]
-            n_tasks = self.topology.components[consumer].parallelism
+            n_tasks = components[consumer].parallelism
             src_key = (runtime.component, runtime.index)
             edge = (
-                edge_faults_map.get((runtime.component, consumer))
-                if edge_faults_map else None
+                edge_faults.get((runtime.component, consumer))
+                if edge_faults else None
             )
             for target in grouping.select(tup.event, n_tasks):
                 dst_key = (consumer, target)
@@ -940,65 +569,10 @@ class Simulator:
                 arrival = max(arrival, floor)
                 link_clock[link] = arrival
                 remote = runtime.machine != dst.machine
-                if recovery_on and edge is not None:
-                    # Only fault-injected links pay for the reliability
-                    # layer (numbering + receiver-side resequencing).  A
-                    # healthy link is already exactly-once: rollback
-                    # purges everything in flight and the sources replay
-                    # from the checkpoint boundary, so sequence-number
-                    # dedup has nothing to catch there.
-                    seq_no = link_seq.get(link, 0)
-                    link_seq[link] = seq_no + 1
-                    actual = arrival
-                    if edge is not None:
-                        if edge.drop:
-                            retransmits = 0
-                            while (
-                                retransmits < edge.max_retransmits
-                                and fault_rng.random() < edge.drop
-                            ):
-                                retransmits += 1
-                            if retransmits:
-                                actual += (
-                                    retransmits * recovery.retransmit_timeout
-                                )
-                                stats.retransmissions += retransmits
-                        if edge.reorder and fault_rng.random() < edge.reorder:
-                            actual += fault_rng.random() * edge.reorder_delay
-                            stats.reordered += 1
-                        if (
-                            edge.duplicate
-                            and fault_rng.random() < edge.duplicate
-                        ):
-                            schedule(
-                                actual
-                                + fault_rng.random() * edge.reorder_delay,
-                                "rdeliver", dst_key, (seq_no, tup),
-                                remote=remote,
-                            )
-                    schedule(
-                        actual, "rdeliver", dst_key, (seq_no, tup),
-                        remote=remote,
-                    )
-                    continue
-                if edge is not None and not isinstance(tup.event, Marker):
-                    # Raw mode perturbs only data tuples: a lost or
-                    # duplicated marker kills alignment outright rather
-                    # than corrupting output, and surviving marker loss
-                    # is exactly what the reliability layer above is
-                    # for.  (Under recovery, markers are numbered and
-                    # faulted like everything else.)
-                    if edge.drop and fault_rng.random() < edge.drop:
-                        continue  # raw mode: the tuple is simply lost
-                    if edge.reorder and fault_rng.random() < edge.reorder:
-                        arrival += fault_rng.random() * edge.reorder_delay
-                        stats.reordered += 1
-                    if edge.duplicate and fault_rng.random() < edge.duplicate:
-                        schedule(
-                            arrival + fault_rng.random() * edge.reorder_delay,
-                            "deliver", dst_key, tup, remote=remote,
-                        )
-                schedule(arrival, "deliver", dst_key, tup, remote=remote)
+                if edge is None:
+                    schedule(arrival, "deliver", dst_key, tup, remote)
+                else:
+                    ft.transmit(edge, link, dst_key, tup, arrival, remote)
 
         def route(runtime: _TaskRuntime, events: List[Event], at: float) -> None:
             for event in events:
@@ -1040,41 +614,16 @@ class Simulator:
                             pending.clear()
                     send(runtime, tup, consumer, at)
 
-        def deliver_one(
-            task_key: TaskKey, runtime: _TaskRuntime, tup: StormTuple,
-            remote: bool, time_now: float,
-        ) -> None:
-            """Hand one arrived tuple to its task (queue + taps)."""
+        def deliver(runtime: _TaskRuntime, tup: StormTuple, remote: bool,
+                    now: float) -> None:
+            """Hand one arrived tuple to its task."""
             if runtime.component in sink_deliveries:
                 sink_deliveries[runtime.component].append(
-                    (time_now, runtime.index, tup)
+                    (now, runtime.index, tup)
                 )
             runtime.queue.append((tup, remote))
-            if obs_on:
-                depth = len(runtime.queue)
-                if monitors_on:
-                    monitors.on_delivery(
-                        runtime.component, runtime.index, tup, time_now,
-                        depth,
-                    )
-                if tm_on:
-                    tracer.sample(
-                        "queue_depth", runtime.component, runtime.index,
-                        time_now, depth,
-                    )
-                    if metrics_on:
-                        metrics.gauge(
-                            "queue_depth", component=runtime.component,
-                            task=runtime.index,
-                        ).set_max(depth)
-                    if (
-                        task_key in frontend_hooks
-                        and isinstance(tup.event, Marker)
-                    ):
-                        tracer.epoch_arrival(
-                            runtime.component, runtime.index,
-                            runtime.machine, tup.event.timestamp, time_now,
-                        )
+            if tap is not None:
+                tap.on_deliver(runtime, tup, now)
 
         while heap:
             events_handled += 1
@@ -1082,144 +631,73 @@ class Simulator:
                 raise SimulationError("simulation exceeded max_events; runaway?")
             time_now, _, action, task_key, tup, remote = heapq.heappop(heap)
 
-            if action == "machine-fault":
-                handle_machine_fault(tup, time_now)
+            if action == "fault":
+                crashed = ft.strike(tup, time_now, core_free)
+                if crashed is not None:
+                    fail(crashed, time_now)
                 continue
 
             runtime = tasks[task_key]
 
-            if action == "crash":
-                fail_task(task_key, time_now, "injected crash")
-                continue
-
             if action == "spout":
-                if ft_on:
-                    runtime.executions += 1
-                    if (
-                        runtime.crash_after
-                        and runtime.executions > runtime.crash_after[0]
-                    ):
-                        runtime.crash_after.pop(0)
-                        fail_task(task_key, time_now, "injected crash")
+                replayed = None
+                if ft is not None:
+                    if ft.crashes(runtime):
+                        fail(runtime, time_now)
                         continue
-                replayed = False
-                if runtime.replay_cursor is not None:
-                    if runtime.replay_cursor < len(runtime.emit_log):
-                        # Replay one logged event per wakeup; skip the
-                        # input counters and frontier taps — this
-                        # traffic was already accounted the first time.
-                        outputs = [runtime.emit_log[runtime.replay_cursor]]
-                        runtime.replay_cursor += 1
-                        alive = True
-                        replayed = True
-                        stats.replayed_events += 1
-                    else:
-                        runtime.replay_cursor = None  # caught up: go live
-                if not replayed:
+                    replayed = ft.replay(runtime)
+                if replayed is None:
                     try:
                         alive = runtime.payload.next_tuple(runtime.collector)
                     except Exception as exc:
                         runtime.collector.drain()
-                        if recovery_on:
-                            recover_all(time_now, f"spout exception: {exc}")
-                            continue
-                        raise task_failure(runtime, exc) from exc
+                        fail(runtime, time_now, f"spout exception: {exc}", exc)
+                        continue
                     outputs = runtime.collector.drain()
-                    if recovery_on and outputs:
-                        runtime.emit_log.extend(outputs)
+                else:
+                    outputs, alive = replayed, True
                 cost = sum(
                     self.cost_model.spout_cost(runtime.component, e) for e in outputs
                 )
-                start = begin_processing(runtime, time_now)
+                start = time_now
+                cores = core_free.get(runtime.machine)
+                if cores is not None:
+                    start = max(start, heapq.heappop(cores))
                 finish = start + cost
-                finish_processing(runtime, finish)
+                if cores is not None:
+                    heapq.heappush(cores, finish)
                 makespan = max(makespan, finish)
-                if replayed:
+                live = replayed is None
+                if live:
+                    # Replayed traffic was accounted the first time.
                     for event in outputs:
-                        if isinstance(event, Marker):
-                            ts = event.timestamp
-                            runtime.last_marker = ts
-                            if checkpoint_epoch(ts):
-                                record_snapshot(
-                                    task_key, ts,
-                                    {"log_pos": runtime.replay_cursor},
-                                )
-                else:
-                    emitted_before = (
-                        len(runtime.emit_log) - len(outputs)
-                        if recovery_on else 0
-                    )
-                    for position, event in enumerate(outputs):
                         input_all += 1
                         if isinstance(event, KV):
                             input_data += 1
                         elif isinstance(event, Marker):
-                            ts = event.timestamp
-                            marker_emit_times.setdefault(ts, finish)
-                            if monitors_on:
-                                monitors.on_source_marker(
-                                    runtime.component, ts, finish
-                                )
-                            if recovery_on:
-                                if ts not in epoch_index:
-                                    epoch_index[ts] = len(epoch_index)
-                                runtime.last_marker = ts
-                                if checkpoint_epoch(ts):
-                                    record_snapshot(
-                                        task_key, ts,
-                                        {"log_pos":
-                                         emitted_before + position + 1},
-                                    )
-                if tm_on and outputs:
-                    tracer.exec_span(
-                        runtime.component, runtime.index, runtime.machine,
-                        start, finish, {"fanout": len(outputs)},
-                    )
-                    if metrics_on:
-                        metrics.counter(
-                            "spout_emitted", component=runtime.component
-                        ).inc(len(outputs))
+                            marker_emit_times.setdefault(event.timestamp, finish)
+                if ft is not None:
+                    ft.emitted(runtime, outputs, live)
+                if tap is not None:
+                    tap.on_spout(runtime, start, finish, outputs, live)
                 route(runtime, outputs, finish)
                 if alive:
                     schedule(finish, "spout", task_key)
                 continue
 
-            if action == "rdeliver":
-                # Reliability layer: resequence, filter duplicates, then
-                # deliver every released tuple in order.
-                assert tup is not None
-                seq_no, real_tup = tup
-                link = (real_tup.channel(), task_key)
-                resequencer = link_reseq.get(link)
-                if resequencer is None:
-                    resequencer = link_reseq[link] = Resequencer()
-                for released_tup, released_remote in resequencer.offer(
-                    seq_no, (real_tup, remote)
-                ):
-                    deliver_one(
-                        task_key, runtime, released_tup, released_remote,
-                        time_now,
-                    )
-            elif action == "deliver":
-                assert tup is not None
-                deliver_one(task_key, runtime, tup, remote, time_now)
+            if action == "deliver":
+                if ft is None:
+                    deliver(runtime, tup, remote, time_now)
+                else:
+                    for released, released_remote in ft.receive(
+                        task_key, tup, remote
+                    ):
+                        deliver(runtime, released, released_remote, time_now)
             else:  # "done": the running execution finished
                 runtime.running = False
             maybe_start(runtime, time_now)
 
-        if obs_on:
-            tracer.finalize(makespan)
-            if monitors_on:
-                monitors.close(makespan)
-            if metrics_on:
-                for machine in self.cluster.machines:
-                    metrics.gauge(
-                        "machine_busy_seconds", machine=machine.machine_id
-                    ).set(machine_busy.get(machine.machine_id, 0.0))
-
-        if recovery_on:
-            for resequencer in link_reseq.values():
-                stats.duplicates_filtered += resequencer.duplicates
-                resequencer.duplicates = 0
-
-        return build_report()
+        report = build_report()
+        if tap is not None:
+            tap.finish(report)
+        return report

@@ -4,6 +4,8 @@ simulation must produce bit-identical results to an uninstrumented one
 (the obs layer is read-only with respect to the schedule and the RNG).
 """
 
+import functools
+
 import pytest
 
 from repro.apps.iot import SensorWorkload, iot_typed_dag
@@ -12,6 +14,7 @@ from repro.compiler.compile import source_from_events
 from repro.obs import ObsContext, MetricsRegistry, NullRegistry, Tracer
 from repro.obs.metrics import percentile
 from repro.operators.base import KV, Marker
+from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster
 from repro.storm.local import LocalRunner
 from repro.storm.simulator import Simulator
@@ -109,6 +112,48 @@ def _compiled_iot(seed):
     return compiled.topology
 
 
+def _batched_iot():
+    events = SensorWorkload(n_sensors=3, duration=30, marker_period=10).events()
+    return compile_dag(
+        iot_typed_dag(parallelism=2), {"SENSOR": source_from_events(events, 2)}
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _fig6_inputs():
+    from repro.apps.smarthomes import SmartHomesWorkload, train_predictor
+
+    workload = SmartHomesWorkload(
+        n_buildings=2, units_per_building=2, plugs_per_unit=2, duration=60,
+    )
+    return workload, train_predictor(horizon=120, train_seconds=600, past=60)
+
+
+def _batched_fig6():
+    from repro.apps.smarthomes import smart_homes_dag
+
+    workload, models = _fig6_inputs()
+    dag = smart_homes_dag(workload.make_database(), models, parallelism=3)
+    return compile_dag(dag, {"hub": source_from_events(workload.events(), 2)})
+
+
+def _batched_q6():
+    from repro.apps.yahoo.events import YahooWorkload
+    from repro.apps.yahoo.queries import query6
+
+    workload = YahooWorkload(
+        seconds=3, events_per_second=60, n_campaigns=4, ads_per_campaign=4,
+        n_users=20,
+    )
+    dag = query6(workload.make_database(), parallelism=2)
+    return compile_dag(dag, {"events": source_from_events(workload.events(), 2)})
+
+
+BATCHED_WORKLOADS = {
+    "iot": _batched_iot, "fig6": _batched_fig6, "q6": _batched_q6,
+}
+
+
 class TestInstrumentationParity:
     """Enabled instrumentation must not change simulation outcomes."""
 
@@ -154,6 +199,36 @@ class TestInstrumentationParity:
         for component, count in report.processed.items():
             if count:  # spouts never enter the bolt path and stay at 0
                 assert snap["tuples_processed"][f"component={component}"] == count
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("workload", sorted(BATCHED_WORKLOADS))
+    def test_batching_stays_on_under_obs(self, workload, seed):
+        """Observability keeps micro-batching and combiners on: the
+        instrumented report equals the batching-only one, one exec span
+        covers a whole batch, and the tuples_processed counters add up
+        to the report's per-component counts."""
+
+        def simulate(obs=None):
+            compiled = BATCHED_WORKLOADS[workload]()
+            return Simulator(
+                compiled.topology, Cluster(3, cores_per_machine=2), seed=seed,
+                batching=BatchingOptions.for_compiled(compiled), obs=obs,
+            ).run()
+
+        plain = simulate()
+        obs = ObsContext.collecting()
+        traced = simulate(obs)
+        assert traced == plain
+        counts = obs.metrics.snapshot()["tuples_processed"]
+        bolt_spans = 0
+        for component, count in traced.processed.items():
+            if count:
+                assert counts[f"component={component}"] == count
+                bolt_spans += sum(
+                    1 for span in obs.tracer.spans_by_cat("exec")
+                    if span.component == component
+                )
+        assert bolt_spans < sum(traced.processed.values())
 
     def test_merge_skew_gauges_present_for_compiled_bolts(self):
         obs = ObsContext.collecting()

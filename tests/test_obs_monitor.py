@@ -23,8 +23,11 @@ from repro.obs.monitor import (
 )
 from repro.obs.schema import validate_records
 from repro.operators.base import KV, Marker
+from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster
-from repro.storm.local import LocalRunner
+from repro.storm.faults import CrashFault, EdgeFaults, FaultPlan
+from repro.storm.local import LocalRunner, events_to_trace
+from repro.storm.recovery import RecoveryOptions
 from repro.storm.simulator import Simulator
 from repro.storm.topology import CaptureBolt, IteratorSpout, TopologyBuilder
 
@@ -374,6 +377,53 @@ class TestMonitorParity:
         monitored = LocalRunner(compiled.topology, seed=7, obs=obs).run()
         assert monitored.makespan == plain.makespan
         assert monitored.sink_events == plain.sink_events
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_recovered_run_is_violation_free(self, seed):
+        """Monitors with micro-batching, type-licensed combiners, and a
+        crash plus link faults under recovery: zero violations, the
+        fault-free sink trace, and the report of the same run
+        unmonitored."""
+        from repro.apps.yahoo.events import YahooWorkload
+        from repro.apps.yahoo.queries import query6
+
+        workload = YahooWorkload(
+            seconds=3, events_per_second=60, n_campaigns=4,
+            ads_per_campaign=4, n_users=20,
+        )
+        events = workload.events()
+
+        def simulate(faulted, monitored=False):
+            compiled = compile_dag(
+                query6(workload.make_database(), parallelism=2),
+                {"events": source_from_events(events, 2)},
+            )
+            plan = FaultPlan(
+                crashes=(CrashFault("Features", task=0, after_executions=5),),
+                default_edge=EdgeFaults(drop=0.05, duplicate=0.05, reorder=0.1),
+                seed=seed,
+            )
+            hub = MonitorHub.for_compiled(compiled) if monitored else None
+            report = Simulator(
+                compiled.topology, Cluster(3, cores_per_machine=2), seed=seed,
+                batching=(BatchingOptions.for_compiled(compiled)
+                          if faulted else None),
+                faults=plan if faulted else None,
+                recovery=RecoveryOptions() if faulted else None,
+                obs=ObsContext.monitoring(hub) if hub is not None else None,
+            ).run()
+            trace = events_to_trace(compiled.sinks["SINK"].aligned_events, False)
+            return trace, report, hub
+
+        baseline, _, _ = simulate(faulted=False)
+        _, plain, _ = simulate(faulted=True)
+        trace, report, hub = simulate(faulted=True, monitored=True)
+        assert trace == baseline
+        assert report == plain
+        assert report.recovery.recoveries >= 1
+        assert hub.violation_count() == 0, hub.summary()
+        assert hub.summary()["recoveries_total"] >= 1
 
 
 # ----------------------------------------------------------------------

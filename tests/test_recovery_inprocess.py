@@ -95,6 +95,19 @@ class TestRunWithRecovery:
         assert recovered.stats.duplicates_filtered >= 1
 
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"checkpoint_every": 0}, "checkpoint_every"),
+        ({"checkpoint_every": -2}, "checkpoint_every"),
+        ({"crash_fraction": -1.0, "crash_epochs": (1,)}, "crash_fraction"),
+        ({"crash_fraction": 1.5, "crash_epochs": (1,)}, "crash_fraction"),
+        ({"crash_epochs": (99,)}, "crash_epochs"),
+        ({"crash_epochs": (-1,)}, "crash_epochs"),
+    ])
+    def test_rejects_bad_arguments(self, events, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_with_recovery(build_dag(), {"SRC": events}, **kwargs)
+
+
 class TestPipelineSnapshot:
     def test_mid_stream_snapshot_restore_identity(self, events, baseline):
         """Snapshot at an epoch boundary, keep running, roll back, rerun
