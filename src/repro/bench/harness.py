@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs import ObsContext
-from repro.operators.base import Event
+from repro.operators.base import Event, Marker
 from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster
 from repro.storm.costs import PerComponentCostModel
@@ -69,8 +69,6 @@ class MarkerTriggerCost:
         self._seen: set = set()
 
     def cost(self, event: Event, task_index: int) -> float:
-        from repro.operators.base import Marker
-
         if not isinstance(event, Marker):
             return self.item_cost
         key = (task_index, event.timestamp)
@@ -96,6 +94,7 @@ class FusedCostModel(PerComponentCostModel):
         self._vertex_costs = dict(vertex_costs)
         self._glue = glue_cost
         self._resolved: Dict[str, Callable[[Event, int], float]] = {}
+        self._vertex_entries: Dict[str, Any] = {}
 
     def cpu_cost(self, component: str, event: Event, task_index: int = 0) -> float:
         fn = self._resolved.get(component)
@@ -106,9 +105,12 @@ class FusedCostModel(PerComponentCostModel):
 
     def vertex_cost(self, vertex: str, event: Event, task_index: int = 0) -> float:
         """Cost of one chain member processing one event (no glue)."""
-        entry = _resolve_vertex(vertex, self._vertex_costs)
+        entry = self._vertex_entries.get(vertex)
         if entry is None:
-            entry = self._default
+            entry = _resolve_vertex(vertex, self._vertex_costs)
+            if entry is None:
+                entry = self._default
+            self._vertex_entries[vertex] = entry
         if isinstance(entry, MarkerTriggerCost):
             return entry.cost(event, task_index)
         if callable(entry):

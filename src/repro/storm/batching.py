@@ -52,12 +52,25 @@ class BatchingOptions:
     dst component) -> the consumer's head OpKeyedUnordered`` (whose
     ``fold_in``/``combine`` the combiner reuses).  Build it with
     :func:`plan_combiners`; an empty dict disables combining.
+
+    Raises ``ValueError`` unless ``max_batch`` is an ``int`` >= 1.
     """
 
     max_batch: int = 512
     combiners: Dict[Tuple[str, str], OpKeyedUnordered] = field(
         default_factory=dict
     )
+
+    def __post_init__(self):
+        max_batch = self.max_batch
+        if (
+            not isinstance(max_batch, int)
+            or isinstance(max_batch, bool)
+            or max_batch < 1
+        ):
+            raise ValueError(
+                f"max_batch must be an int >= 1, got {max_batch!r}"
+            )
 
     @classmethod
     def for_compiled(

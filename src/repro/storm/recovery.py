@@ -173,8 +173,9 @@ class FaultCoordinator:
     crash thresholds, epoch index, :class:`CheckpointStore`, seal
     callbacks, per-link numbering and resequencers, and the
     :class:`RecoveryStats`.  ``schedule``/``report`` are the core's heap
-    push and report function; ``restart(now, at, epoch)`` is the core's
-    half of a rollback.  Without ``recovery`` faults are raw and the
+    push (``schedule(time, action, task runtime, tuple, remote)``) and
+    report function; ``restart(now, at, epoch)`` is the core's half of
+    a rollback.  Without ``recovery`` faults are raw and the
     core raises on a crash.
     """
 
@@ -333,9 +334,11 @@ class FaultCoordinator:
 
     # -- send and deliver ----------------------------------------------
 
-    def transmit(self, edge: EdgeFaults, link: Any, dst_key: Any, tup: Any,
+    def transmit(self, edge: EdgeFaults, link: Any, dst: Any, tup: Any,
                  arrival: float, remote: bool) -> None:
-        """Schedule one transmission on a faulted link.
+        """Schedule one transmission on a faulted link ``link`` (a
+        ``(src task key, dst task key)`` pair) to the task runtime
+        ``dst``.
 
         Every tuple draws from the fault RNG in one order: drop,
         reorder, duplicate.  Under recovery the link is at-least-once:
@@ -350,7 +353,7 @@ class FaultCoordinator:
             self._link_seq[link] = seq_no + 1
             tup = (seq_no, tup)
         elif isinstance(tup.event, Marker):
-            schedule(arrival, "deliver", dst_key, tup, remote)
+            schedule(arrival, "deliver", dst, tup, remote)
             return
         rng, stats = self.fault_rng, self.stats
         if edge.drop and rng.random() < edge.drop:
@@ -366,17 +369,18 @@ class FaultCoordinator:
             stats.reordered += 1
         if edge.duplicate and rng.random() < edge.duplicate:
             schedule(arrival + rng.random() * edge.reorder_delay, "deliver",
-                     dst_key, tup, remote)
-        schedule(arrival, "deliver", dst_key, tup, remote)
+                     dst, tup, remote)
+        schedule(arrival, "deliver", dst, tup, remote)
 
-    def receive(self, task_key: Any, tup: Any, remote: bool) -> List[Any]:
-        """The ``(tuple, remote)`` deliveries one arrival releases: the
-        tuple itself, or for a numbered transmission whatever its link's
-        resequencer releases (in order, duplicates filtered)."""
+    def receive(self, runtime, tup: Any, remote: bool) -> List[Any]:
+        """The ``(tuple, remote)`` deliveries one arrival at the task
+        ``runtime`` releases: the tuple itself, or for a numbered
+        transmission whatever its link's resequencer releases (in
+        order, duplicates filtered)."""
         if type(tup) is not tuple:
             return [(tup, remote)]
         seq_no, real_tup = tup
-        link = (real_tup.channel(), task_key)
+        link = (real_tup.channel(), runtime)
         resequencer = self._resequencers.get(link)
         if resequencer is None:
             resequencer = self._resequencers[link] = Resequencer()

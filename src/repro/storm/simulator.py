@@ -30,7 +30,7 @@ from collections import deque
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError, TaskFailureError
 from repro.operators.base import Event, KV, Marker
@@ -39,7 +39,6 @@ from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster, Placement, round_robin_placement
 from repro.storm.costs import CostModel, UniformCostModel
 from repro.storm.faults import FaultPlan
-from repro.storm.groupings import Grouping
 from repro.storm.recovery import FaultCoordinator, RecoveryOptions, RecoveryStats
 from repro.storm.topology import (
     Bolt, CaptureBolt, OutputCollector, Spout, Topology,
@@ -128,6 +127,23 @@ class SimulationReport:
         }
 
 
+class _Route(NamedTuple):
+    """One consumer of a task's output, resolved once per run."""
+
+    consumer: str
+    #: the sender's own grouping instance's bound ``select``.
+    select: Callable[[Event, int], List[int]]
+    n_tasks: int
+    #: the consumer's task runtimes, indexed by task index.
+    targets: List["_TaskRuntime"]
+    #: injected faults on this edge, or ``None`` for a healthy edge.
+    edge: Any
+    #: sender-side combiner buffer ``{key: pending aggregate}`` and the
+    #: consumer's head operator, or ``None`` when the edge is not planned.
+    pending: Optional[Dict[Any, Any]]
+    head: Any
+
+
 class _TaskRuntime:
     """Mutable per-task execution state."""
 
@@ -138,12 +154,13 @@ class _TaskRuntime:
         "is_spout",
         "payload",
         "state",
-        "groupings",
+        "routes",
+        "link_floor",
+        "cost_events",
         "collector",
         "queue",
         "running",
         "max_batch",
-        "combiners",
         "last_marker",
     )
 
@@ -154,19 +171,22 @@ class _TaskRuntime:
         self.is_spout = is_spout
         self.payload = payload
         self.state = state
-        # downstream component -> per-sender grouping instance
-        self.groupings: Dict[str, Grouping] = {}
+        # The route plan (one row per downstream component, in topology
+        # order) and the per-destination FIFO floors of this sender's
+        # links; both are built and reset by Simulator.run.
+        self.routes: List[_Route] = []
+        self.link_floor: Dict["_TaskRuntime", float] = {}
+        # The payload's per-member work report (compiled bolts), or
+        # ``None`` when the task is charged per delivered tuple.
+        self.cost_events = getattr(payload, "cost_events", None)
         self.collector = OutputCollector()
         # FIFO of pending (tuple, remote) deliveries; `running` marks an
         # in-flight execution (a scheduled "done" event).
         self.queue: "deque" = deque()
         self.running = False
-        # Most tuples one execution may drain, and sender-side combiner
-        # buffers (consumer -> {key: pending monoid aggregate}); raised
-        # and populated by Simulator.run when a BatchingOptions licenses
-        # them.
+        # Most tuples one execution may drain; raised by Simulator.run
+        # when a BatchingOptions licenses it.
         self.max_batch = 1
-        self.combiners: Dict[str, Dict[Any, Any]] = {}
         # Timestamp of the last epoch this task sealed (kept by the
         # recovery layer; reported in failure context).
         self.last_marker: Any = None
@@ -198,7 +218,10 @@ class Simulator:
     """Run a topology on a simulated cluster.
 
     ``run`` is one event loop over tasks, per-machine cores, per-link
-    FIFO delivery and routing.  Faults/recovery
+    FIFO delivery and routing.  What cannot change during a run — each
+    task's route plan and the cost model's bound methods — is resolved
+    once when ``run`` starts, and heap entries carry task runtimes, so
+    the loop does no per-tuple lookups.  Faults/recovery
     (:class:`~repro.storm.recovery.FaultCoordinator`) and observability
     (:class:`~repro.obs.simtap.SimulatorTap`) are optional layers on it,
     ``None`` when off; neither touches the scheduling RNG.
@@ -276,13 +299,9 @@ class Simulator:
 
     def run(self) -> SimulationReport:
         rng = random.Random(self.seed)
-        components = self.topology.components
+        topology = self.topology
+        components = topology.components
         tasks: Dict[TaskKey, _TaskRuntime] = {}
-        downstream: Dict[str, List[str]] = {}
-        for spec in components.values():
-            downstream[spec.name] = [
-                name for name, _ in self.topology.downstream_of(spec.name)
-            ]
 
         # Instantiate tasks.
         for spec in components.values():
@@ -299,11 +318,6 @@ class Simulator:
                     runtime = _TaskRuntime(
                         spec.name, index, machine, False, spec.payload, state
                     )
-                # Per-sender grouping instances for each downstream bolt.
-                for consumer, grouping in self.topology.downstream_of(spec.name):
-                    instance = copy.deepcopy(grouping)
-                    instance.bind(random.Random(rng.randrange(2**62)))
-                    runtime.groupings[consumer] = instance
                 tasks[(spec.name, index)] = runtime
 
         # Type-licensed batching (see repro.storm.batching).
@@ -317,21 +331,23 @@ class Simulator:
                     is not Bolt.execute_batch
                 ):
                     runtime.max_batch = batching.max_batch
-                for consumer in downstream[runtime.component]:
-                    if (runtime.component, consumer) in combiner_plan:
-                        runtime.combiners[consumer] = {}
 
         # Per-machine core availability heaps (source host unbounded).
         core_free: Dict[int, List[float]] = {}
         for machine in self.cluster.machines:
             core_free[machine.machine_id] = [0.0] * machine.cores
 
+        # Heap entries: (time, seq, action, task runtime or None, tuple
+        # or fault, remote).  ``seq`` is unique, so runtimes are never
+        # compared.
         heap: List[Tuple[float, int, str, Any, Any, bool]] = []
         seq = itertools.count()
+        heappush, heappop = heapq.heappush, heapq.heappop
 
-        def schedule(time: float, action: str, task: Optional[TaskKey],
-                     tup=None, remote: bool = False):
-            heapq.heappush(heap, (time, next(seq), action, task, tup, remote))
+        def schedule(time: float, action: str,
+                     runtime: Optional[_TaskRuntime], tup=None,
+                     remote: bool = False):
+            heappush(heap, (time, next(seq), action, runtime, tup, remote))
 
         processed: Dict[str, int] = {name: 0 for name in components}
         emitted: Dict[str, int] = {name: 0 for name in components}
@@ -346,10 +362,6 @@ class Simulator:
         input_all = 0
         makespan = 0.0
         events_handled = 0
-        # FIFO per link: Storm guarantees in-order delivery between a
-        # fixed producer task and consumer task; jittered delays must
-        # never reorder tuples on the same link.
-        link_clock: Dict[Tuple[TaskKey, TaskKey], float] = {}
 
         def build_report() -> SimulationReport:
             """The run's report so far (also attached to failures)."""
@@ -385,15 +397,16 @@ class Simulator:
             fault events, reset link floors, wake the spouts at ``at``."""
             heap[:] = [entry for entry in heap if entry[2] == "fault"]
             heapq.heapify(heap)
-            link_clock.clear()
-            for key, runtime in tasks.items():
+            for runtime in tasks.values():
+                runtime.link_floor.clear()
                 runtime.queue.clear()
                 runtime.running = False
                 runtime.collector.drain()
-                for pending in runtime.combiners.values():
-                    pending.clear()
+                for row in runtime.routes:
+                    if row.pending is not None:
+                        row.pending.clear()
                 if runtime.is_spout:
-                    schedule(at, "spout", key)
+                    schedule(at, "spout", runtime)
             if tap is not None:
                 tap.on_rollback(epoch, now)
 
@@ -404,7 +417,7 @@ class Simulator:
         edge_faults: Dict[Tuple[str, str], Any] = {}
         if self.faults is not None or self.recovery is not None:
             ft = FaultCoordinator(
-                self.topology, tasks, self.faults, self.recovery,
+                topology, tasks, self.faults, self.recovery,
                 schedule=schedule, report=build_report, restart=restart,
             )
             recovery_stats = ft.stats
@@ -415,10 +428,39 @@ class Simulator:
             if obs is not None and obs.enabled else None
         )
 
+        # The route plan: every fact a send needs that cannot change
+        # during the run, resolved once per task, with the sender's own
+        # grouping instance for each downstream bolt (seeded in task
+        # order).  Combiner buffers, like link floors, live only as
+        # long as this run.
+        for runtime in tasks.values():
+            for consumer, grouping in topology.downstream_of(runtime.component):
+                instance = copy.deepcopy(grouping)
+                instance.bind(random.Random(rng.randrange(2**62)))
+                n_tasks = components[consumer].parallelism
+                edge = (runtime.component, consumer)
+                head = combiner_plan.get(edge)
+                runtime.routes.append(_Route(
+                    consumer, instance.select, n_tasks,
+                    [tasks[(consumer, i)] for i in range(n_tasks)],
+                    edge_faults.get(edge), None if head is None else {}, head,
+                ))
+
         # Kick off all spout tasks at t=0.
-        for key, runtime in tasks.items():
+        for runtime in tasks.values():
             if runtime.is_spout:
-                schedule(0.0, "spout", key)
+                schedule(0.0, "spout", runtime)
+
+        # The cost model, bound once: its methods are still called once
+        # per charge, so custom and instrumented models see every call.
+        cost_model = self.cost_model
+        framework_overhead = cost_model.framework_overhead
+        remote_cpu = cost_model.remote_cpu
+        cpu_cost = cost_model.cpu_cost
+        glue_cost = cost_model.glue_cost
+        vertex_cost = cost_model.vertex_cost
+        network_delay = cost_model.network_delay
+        spout_cost = cost_model.spout_cost
 
         def fail(runtime: _TaskRuntime, now: float,
                  detail: str = "injected crash",
@@ -445,31 +487,30 @@ class Simulator:
             compiled bolt's ``(member label, cost seconds, events
             consumed)`` rows; the returned total is the same either
             way, because every charge is added to it one at a time."""
-            cost_model = self.cost_model
-            cost = cost_model.framework_overhead
+            cost = framework_overhead
             component, index = runtime.component, runtime.index
-            payload = runtime.payload
-            if not hasattr(payload, "cost_events"):
+            cost_events = runtime.cost_events
+            if cost_events is None:
                 for tup, remote in batch:
                     if remote:
-                        cost += cost_model.remote_cpu
-                    cost += cost_model.cpu_cost(component, tup.event, index)
+                        cost += remote_cpu
+                    cost += cpu_cost(component, tup.event, index)
                 return cost
             # Compiled bolts report per-vertex work, so cardinality
             # changes inside a fused chain are charged faithfully.
             glue = 0.0
             for tup, remote in batch:
                 if remote:
-                    cost += cost_model.remote_cpu
-                tup_glue = cost_model.glue_cost(component, tup.event)
+                    cost += remote_cpu
+                tup_glue = glue_cost(component, tup.event)
                 cost += tup_glue
                 glue += tup_glue
             if breakdown is not None:
                 breakdown.append(("glue", glue, len(batch)))
-            for vertex, events in payload.cost_events(runtime.state):
+            for vertex, events in cost_events(runtime.state):
                 vertex_total = 0.0
                 for event in events:
-                    charge = cost_model.vertex_cost(vertex, event, index)
+                    charge = vertex_cost(vertex, event, index)
                     cost += charge
                     vertex_total += charge
                 if breakdown is not None:
@@ -509,7 +550,7 @@ class Simulator:
             start = now
             cores = core_free.get(runtime.machine)
             if cores is not None:
-                earliest = heapq.heappop(cores)
+                earliest = heappop(cores)
                 start = max(start, earliest)
             try:
                 runtime.payload.execute_batch(
@@ -517,7 +558,7 @@ class Simulator:
                 )
             except Exception as exc:
                 if cores is not None:
-                    heapq.heappush(cores, start)
+                    heappush(cores, start)
                 runtime.collector.drain()
                 fail(runtime, now, f"operator exception: {exc}", exc)
                 return
@@ -538,48 +579,50 @@ class Simulator:
                 machine_busy.get(runtime.machine, 0.0) + cost
             )
             if cores is not None:
-                heapq.heappush(cores, finish)
+                heappush(cores, finish)
             runtime.running = True
             makespan = max(makespan, finish)
             processed[runtime.component] += len(batch)
-            route(runtime, outputs, finish)
-            schedule(finish, "done", (runtime.component, runtime.index))
+            if outputs:
+                route(runtime, outputs, finish)
+            heappush(heap, (finish, next(seq), "done", runtime, None, False))
 
-        def send(
-            runtime: _TaskRuntime, tup: StormTuple, consumer: str, at: float
-        ) -> None:
-            """Ship one tuple to every selected task of ``consumer``;
-            links with injected faults go through the coordinator."""
-            grouping = runtime.groupings[consumer]
-            n_tasks = components[consumer].parallelism
-            src_key = (runtime.component, runtime.index)
-            edge = (
-                edge_faults.get((runtime.component, consumer))
-                if edge_faults else None
-            )
-            for target in grouping.select(tup.event, n_tasks):
-                dst_key = (consumer, target)
-                dst = tasks[dst_key]
-                delay = self.cost_model.network_delay(
-                    runtime.machine, dst.machine, rng
-                )
-                arrival = at + delay
-                link = (src_key, dst_key)
-                floor = link_clock.get(link, 0.0)
-                arrival = max(arrival, floor)
-                link_clock[link] = arrival
-                remote = runtime.machine != dst.machine
+        def send(runtime: _TaskRuntime, row: _Route, tup: StormTuple,
+                 at: float) -> None:
+            """Ship one tuple to every selected task of ``row``'s
+            consumer; links with injected faults go through the
+            coordinator."""
+            consumer, select, n_tasks, targets, edge, _, _ = row
+            machine = runtime.machine
+            floors = runtime.link_floor
+            for target in select(tup.event, n_tasks):
+                dst = targets[target]
+                arrival = at + network_delay(machine, dst.machine, rng)
+                # FIFO per link: Storm guarantees in-order delivery
+                # between a fixed producer task and consumer task;
+                # jittered delays must never reorder tuples on a link.
+                floor = floors.get(dst, 0.0)
+                if arrival < floor:
+                    arrival = floor
+                floors[dst] = arrival
+                remote = machine != dst.machine
                 if edge is None:
-                    schedule(arrival, "deliver", dst_key, tup, remote)
+                    heappush(
+                        heap, (arrival, next(seq), "deliver", dst, tup, remote)
+                    )
                 else:
-                    ft.transmit(edge, link, dst_key, tup, arrival, remote)
+                    link = ((runtime.component, runtime.index),
+                            (consumer, target))
+                    ft.transmit(edge, link, dst, tup, arrival, remote)
 
         def route(runtime: _TaskRuntime, events: List[Event], at: float) -> None:
+            component, index = runtime.component, runtime.index
+            emitted[component] += len(events)
+            routes = runtime.routes
             for event in events:
-                emitted[runtime.component] += 1
-                tup = StormTuple(event, runtime.component, runtime.index)
-                for consumer in downstream[runtime.component]:
-                    pending = runtime.combiners.get(consumer)
+                tup = StormTuple(event, component, index)
+                for row in routes:
+                    pending = row.pending
                     if pending is not None:
                         if isinstance(event, KV):
                             # Fold instead of shipping: the U(K,V) edge
@@ -588,7 +631,7 @@ class Simulator:
                             # operator folds them through a commutative
                             # monoid — so one pre-combined aggregate per
                             # key per epoch denotes the same trace.
-                            head = combiner_plan[(runtime.component, consumer)]
+                            head = row.head
                             folded = head.fold_in(event.key, event.value)
                             if event.key in pending:
                                 pending[event.key] = head.combine(
@@ -602,17 +645,15 @@ class Simulator:
                             # marker; link FIFO keeps them in its block.
                             for key, agg in pending.items():
                                 send(
-                                    runtime,
+                                    runtime, row,
                                     StormTuple(
                                         KV(key, CombinedAgg(agg)),
-                                        runtime.component,
-                                        runtime.index,
+                                        component, index,
                                     ),
-                                    consumer,
                                     at,
                                 )
                             pending.clear()
-                    send(runtime, tup, consumer, at)
+                    send(runtime, row, tup, at)
 
         def deliver(runtime: _TaskRuntime, tup: StormTuple, remote: bool,
                     now: float) -> None:
@@ -625,11 +666,29 @@ class Simulator:
             if tap is not None:
                 tap.on_deliver(runtime, tup, now)
 
+        max_events = self.max_events
         while heap:
             events_handled += 1
-            if events_handled > self.max_events:
+            if events_handled > max_events:
                 raise SimulationError("simulation exceeded max_events; runaway?")
-            time_now, _, action, task_key, tup, remote = heapq.heappop(heap)
+            time_now, _, action, runtime, tup, remote = heappop(heap)
+
+            # Actions in order of frequency: deliveries, then dones.
+            if action == "deliver":
+                if ft is None:
+                    deliver(runtime, tup, remote, time_now)
+                else:
+                    for released, released_remote in ft.receive(
+                        runtime, tup, remote
+                    ):
+                        deliver(runtime, released, released_remote, time_now)
+                maybe_start(runtime, time_now)
+                continue
+
+            if action == "done":  # the running execution finished
+                runtime.running = False
+                maybe_start(runtime, time_now)
+                continue
 
             if action == "fault":
                 crashed = ft.strike(tup, time_now, core_free)
@@ -637,65 +696,50 @@ class Simulator:
                     fail(crashed, time_now)
                 continue
 
-            runtime = tasks[task_key]
-
-            if action == "spout":
-                replayed = None
-                if ft is not None:
-                    if ft.crashes(runtime):
-                        fail(runtime, time_now)
-                        continue
-                    replayed = ft.replay(runtime)
-                if replayed is None:
-                    try:
-                        alive = runtime.payload.next_tuple(runtime.collector)
-                    except Exception as exc:
-                        runtime.collector.drain()
-                        fail(runtime, time_now, f"spout exception: {exc}", exc)
-                        continue
-                    outputs = runtime.collector.drain()
-                else:
-                    outputs, alive = replayed, True
-                cost = sum(
-                    self.cost_model.spout_cost(runtime.component, e) for e in outputs
-                )
-                start = time_now
-                cores = core_free.get(runtime.machine)
-                if cores is not None:
-                    start = max(start, heapq.heappop(cores))
-                finish = start + cost
-                if cores is not None:
-                    heapq.heappush(cores, finish)
-                makespan = max(makespan, finish)
-                live = replayed is None
-                if live:
-                    # Replayed traffic was accounted the first time.
-                    for event in outputs:
-                        input_all += 1
-                        if isinstance(event, KV):
-                            input_data += 1
-                        elif isinstance(event, Marker):
-                            marker_emit_times.setdefault(event.timestamp, finish)
-                if ft is not None:
-                    ft.emitted(runtime, outputs, live)
-                if tap is not None:
-                    tap.on_spout(runtime, start, finish, outputs, live)
+            # "spout": the spout task's next emission.
+            replayed = None
+            if ft is not None:
+                if ft.crashes(runtime):
+                    fail(runtime, time_now)
+                    continue
+                replayed = ft.replay(runtime)
+            if replayed is None:
+                try:
+                    alive = runtime.payload.next_tuple(runtime.collector)
+                except Exception as exc:
+                    runtime.collector.drain()
+                    fail(runtime, time_now, f"spout exception: {exc}", exc)
+                    continue
+                outputs = runtime.collector.drain()
+            else:
+                outputs, alive = replayed, True
+            component = runtime.component
+            cost = sum(spout_cost(component, e) for e in outputs)
+            start = time_now
+            cores = core_free.get(runtime.machine)
+            if cores is not None:
+                start = max(start, heappop(cores))
+            finish = start + cost
+            if cores is not None:
+                heappush(cores, finish)
+            makespan = max(makespan, finish)
+            live = replayed is None
+            if live:
+                # Replayed traffic was accounted the first time.
+                for event in outputs:
+                    input_all += 1
+                    if isinstance(event, KV):
+                        input_data += 1
+                    elif isinstance(event, Marker):
+                        marker_emit_times.setdefault(event.timestamp, finish)
+            if ft is not None:
+                ft.emitted(runtime, outputs, live)
+            if tap is not None:
+                tap.on_spout(runtime, start, finish, outputs, live)
+            if outputs:
                 route(runtime, outputs, finish)
-                if alive:
-                    schedule(finish, "spout", task_key)
-                continue
-
-            if action == "deliver":
-                if ft is None:
-                    deliver(runtime, tup, remote, time_now)
-                else:
-                    for released, released_remote in ft.receive(
-                        task_key, tup, remote
-                    ):
-                        deliver(runtime, released, released_remote, time_now)
-            else:  # "done": the running execution finished
-                runtime.running = False
-            maybe_start(runtime, time_now)
+            if alive:
+                heappush(heap, (finish, next(seq), "spout", runtime, None, False))
 
         report = build_report()
         if tap is not None:

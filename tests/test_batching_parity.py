@@ -434,3 +434,43 @@ class TestSerialIsBatchOfOne:
             return compile_dag(dag, {"hub": source_from_events(events, 2)})
 
         self.assert_identical(self.reports(build, seed))
+
+
+class TestSimulatorRunsTwice:
+    """``Simulator.run`` builds its per-run state (routing, link floors,
+    combiner buffers) afresh, so one instance run twice gives equal
+    reports and equal sink traces."""
+
+    @pytest.mark.parametrize("mode", ["serial", "batched"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_iot(self, mode, seed):
+        events = SensorWorkload(
+            n_sensors=3, duration=30, marker_period=10
+        ).events()
+        compiled = compile_dag(
+            iot_typed_dag(parallelism=2),
+            {"SENSOR": source_from_events(events, parallelism=2)},
+        )
+        simulator = Simulator(
+            compiled.topology, Cluster(3, cores_per_machine=2), seed=seed,
+            batching=(BatchingOptions.for_compiled(compiled)
+                      if mode == "batched" else None),
+        )
+        sink = compiled.sinks["SINK"]
+        first = simulator.run()
+        first_sink = list(sink.aligned_events)
+        second = simulator.run()
+        assert first == second
+        assert first_sink == sink.aligned_events
+        assert first_sink
+
+
+class TestBatchingOptionsValidation:
+    @pytest.mark.parametrize("max_batch", [0, -3, 2.5, "8", True, None])
+    def test_rejects_bad_max_batch(self, max_batch):
+        with pytest.raises(ValueError, match="max_batch"):
+            BatchingOptions(max_batch=max_batch)
+
+    def test_accepts_positive_int(self):
+        assert BatchingOptions(max_batch=1).max_batch == 1
+        assert BatchingOptions().max_batch == 512

@@ -13,6 +13,13 @@ leave every one of them unchanged.
 Instrumented runs (tracer, metrics and monitors all on) must reproduce
 the uninstrumented digest exactly.
 
+A second set of cases pins the cost paths the default
+:class:`~repro.storm.costs.UniformCostModel` never reaches: Yahoo Query
+IV under the fused per-vertex cost model with a
+:class:`~repro.bench.MarkerTriggerCost` entry, iot under a cost model
+that charges receiver-side CPU per remote tuple, and Yahoo Query VI with
+micro-batching and type-licensed combiners under its fused cost model.
+
 To print the current digests (for a deliberate change of the simulated
 schedule)::
 
@@ -29,13 +36,22 @@ import pytest
 from repro.apps.iot.pipeline import iot_typed_dag
 from repro.apps.iot.sensors import SensorWorkload
 from repro.apps.yahoo.events import YahooWorkload
-from repro.apps.yahoo.queries import query4
+from repro.apps.yahoo.queries import (
+    DB_LOOKUP_COST,
+    FEATURE_COST,
+    KMEANS_MARKER_COST,
+    WINDOW_UPDATE_COST,
+    query4,
+    query6,
+)
+from repro.bench import MarkerTriggerCost, fused_cost_model
 from repro.compiler import compile_dag
 from repro.compiler.compile import source_from_events
 from repro.obs import ObsContext
 from repro.obs.monitor import MonitorHub
 from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster
+from repro.storm.costs import CostModel
 from repro.storm.faults import CrashFault, EdgeFaults, FaultPlan, MachineFault
 from repro.storm.recovery import RecoveryOptions
 from repro.storm.simulator import Simulator
@@ -66,12 +82,52 @@ def _q4():
     )
 
 
+def _q6():
+    return compile_dag(
+        query6(_Q4_WORKLOAD.make_database(), parallelism=2),
+        {"events": source_from_events(_Q4_EVENTS, parallelism=2)},
+    )
+
+
 #: topology factory, the bolt a crash targets, and the simulated time of
-#: the permanent machine loss (a third to a half of a fault-free run).
+#: the permanent machine loss (a third to a half of a fault-free run;
+#: ``None`` where no machine-loss case runs).
 TOPOLOGIES = {
     "iot": (_iot, "Map", 1e-4),
     "q4": (_q4, "FilterMap", 1e-4),
+    "q6": (_q6, "Features", None),
 }
+
+
+class RemoteCpuCostModel(CostModel):
+    """Default costs plus receiver-side CPU per cross-machine tuple."""
+
+    remote_cpu = 2e-6
+
+
+def _q4_costs():
+    # MarkerTriggerCost entries are stateful: one cost model per run.
+    return fused_cost_model({
+        "FilterMap": DB_LOOKUP_COST,
+        "Count10s": MarkerTriggerCost(WINDOW_UPDATE_COST, 50e-6),
+    })
+
+
+def _q6_costs():
+    return fused_cost_model({
+        "Locate": DB_LOOKUP_COST,
+        "Features": MarkerTriggerCost(FEATURE_COST, 50e-6),
+        "Cluster": MarkerTriggerCost(WINDOW_UPDATE_COST, KMEANS_MARKER_COST),
+    })
+
+
+#: cost-path scenario -> (topology, cost model factory, batching mode).
+COST_PATHS = {
+    "q4fused": ("q4", _q4_costs, "serial"),
+    "iotremote": ("iot", RemoteCpuCostModel, "serial"),
+    "q6fused": ("q6", _q6_costs, "batched"),
+}
+COST_FAULTS = ("none", "crash-edge")
 
 
 def _fault_setup(fault, crash_target, machine_loss_at, seed):
@@ -94,7 +150,7 @@ def _fault_setup(fault, crash_target, machine_loss_at, seed):
     return plan, RecoveryOptions()
 
 
-def simulate(topology, seed, batching, fault, obs=False):
+def simulate(topology, seed, batching, fault, obs=False, cost_model=None):
     build, crash_target, machine_loss_at = TOPOLOGIES[topology]
     compiled = build()
     faults, recovery = _fault_setup(fault, crash_target, machine_loss_at, seed)
@@ -102,7 +158,8 @@ def simulate(topology, seed, batching, fault, obs=False):
     if obs:
         context = ObsContext.collecting(monitors=MonitorHub.for_compiled(compiled))
     return Simulator(
-        compiled.topology, Cluster(3, cores_per_machine=2), seed=seed,
+        compiled.topology, Cluster(3, cores_per_machine=2),
+        cost_model=cost_model, seed=seed,
         batching=(BatchingOptions.for_compiled(compiled)
                   if batching == "batched" else None),
         faults=faults, recovery=recovery, obs=context,
@@ -140,7 +197,12 @@ def case_id(topology, seed, batching, fault) -> str:
 
 CASES = [
     case_id(*case)
-    for case in itertools.product(TOPOLOGIES, SEEDS, BATCHING, FAULTS)
+    for case in itertools.product(("iot", "q4"), SEEDS, BATCHING, FAULTS)
+]
+
+COST_CASES = [
+    f"{path}-s{seed}-{fault}"
+    for path, seed, fault in itertools.product(COST_PATHS, SEEDS, COST_FAULTS)
 ]
 
 DIGESTS = {
@@ -195,9 +257,40 @@ DIGESTS = {
 }
 
 
+COST_DIGESTS = {
+    "q4fused-s0-none": "b4d779ec37c0cfb6",
+    "q4fused-s0-crash-edge": "5946616444361fd6",
+    "q4fused-s1-none": "d2dd2b483f0b3932",
+    "q4fused-s1-crash-edge": "288a481b6a4ecec6",
+    "q4fused-s2-none": "620845c9203084d6",
+    "q4fused-s2-crash-edge": "a1cef7aa3aaa0646",
+    "iotremote-s0-none": "f24c8570d391856e",
+    "iotremote-s0-crash-edge": "27f54380875462ca",
+    "iotremote-s1-none": "41374c010f808b75",
+    "iotremote-s1-crash-edge": "846168f57e961d68",
+    "iotremote-s2-none": "428fe9ea92d799cf",
+    "iotremote-s2-crash-edge": "8af24805d6c5c1d4",
+    "q6fused-s0-none": "8900d37eec970c2c",
+    "q6fused-s0-crash-edge": "e233a6bb85346b97",
+    "q6fused-s1-none": "db3b6d148bb6e858",
+    "q6fused-s1-crash-edge": "72102588dfccf54d",
+    "q6fused-s2-none": "f376a8aec6b7c117",
+    "q6fused-s2-crash-edge": "4d1a88202472926f",
+}
+
+
 def _parse(case):
     topology, seed, batching, fault = case.split("-", 3)
     return topology, int(seed[1:]), batching, fault
+
+
+def simulate_cost_case(case, obs=False):
+    path, seed, fault = case.split("-", 2)
+    topology, cost_model, batching = COST_PATHS[path]
+    return simulate(
+        topology, int(seed[1:]), batching, fault, obs=obs,
+        cost_model=cost_model(),
+    )
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -212,6 +305,18 @@ def test_instrumented_report_digest_is_pinned(case):
     assert report_digest(simulate(*_parse(case), obs=True)) == DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", COST_CASES)
+def test_cost_path_digest_is_pinned(case):
+    assert report_digest(simulate_cost_case(case)) == COST_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", COST_CASES)
+def test_instrumented_cost_path_digest_is_pinned(case):
+    assert report_digest(simulate_cost_case(case, obs=True)) == COST_DIGESTS[case]
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f'    "{case}": "{report_digest(simulate(*_parse(case)))}",')
+    for case in COST_CASES:
+        print(f'    "{case}": "{report_digest(simulate_cost_case(case))}",')
