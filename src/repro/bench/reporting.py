@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -135,6 +136,22 @@ def bench_output_dir() -> Path:
     return Path(os.environ.get("REPRO_BENCH_DIR", "."))
 
 
+def host_fingerprint() -> Dict[str, Any]:
+    """The host a BENCH file was measured on: Python version and
+    implementation, platform, machine and usable CPU count (``nproc``)."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        nproc = os.cpu_count() or 1
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "nproc": nproc,
+    }
+
+
 def emit_bench_json(
     filename: str,
     entries: Dict[str, Any],
@@ -144,7 +161,9 @@ def emit_bench_json(
 
     Merging lets parametrized benchmarks (one pytest case per query)
     accumulate into a single file; an unparsable existing file is
-    replaced rather than crashing the benchmark."""
+    replaced rather than crashing the benchmark.  ``host`` records the
+    machine of the latest write, so numbers from different hosts are
+    never compared blind."""
     directory = Path(out_dir) if out_dir is not None else bench_output_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / filename
@@ -158,6 +177,7 @@ def emit_bench_json(
             data = {}
     data.update(entries)
     data["schema"] = BENCH_SCHEMA
+    data["host"] = host_fingerprint()
     path.write_text(
         json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

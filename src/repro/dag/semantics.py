@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.errors import DagError
 from repro.operators.base import Event
 from repro.operators.merge import Merge
+from repro.operators.sampling import shuffle_within_blocks
 from repro.dag.graph import Edge, TransductionDAG, Vertex, VertexKind
 from repro.traces.blocks import BlockTrace
 
@@ -39,23 +40,11 @@ class EvaluationResult:
 
     def sink_trace(self, sink_name: str, ordered: bool) -> BlockTrace:
         """The canonical trace delivered to a sink."""
-        return _events_to_block_trace(self.sink_events[sink_name], ordered)
+        return BlockTrace.from_events(ordered, self.sink_events[sink_name])
 
     def edge_trace(self, edge: Edge, ordered: bool) -> BlockTrace:
         """The canonical trace labelling an edge."""
-        return _events_to_block_trace(self.edge_events[edge.edge_id], ordered)
-
-
-def _events_to_block_trace(events: Sequence[Event], ordered: bool) -> BlockTrace:
-    from repro.operators.base import KV, Marker
-
-    trace = BlockTrace(ordered)
-    for event in events:
-        if isinstance(event, Marker):
-            trace.add_marker(event.timestamp)
-        else:
-            trace.add_pair(event.key, event.value)
-    return trace
+        return BlockTrace.from_events(ordered, self.edge_events[edge.edge_id])
 
 
 def _interleave_round_robin(channels: List[List[Event]]) -> List[Any]:
@@ -153,24 +142,9 @@ def check_dag_invariance(
     import random as _random
 
     from repro.errors import ConsistencyError
-    from repro.operators.base import KV, Marker
 
     ordered_sinks = ordered_sinks or {}
     rng = _random.Random(seed)
-
-    def shuffle_stream(events):
-        result, block = [], []
-        for event in events:
-            if isinstance(event, Marker):
-                rng.shuffle(block)
-                result.extend(block)
-                result.append(event)
-                block = []
-            else:
-                block.append(event)
-        rng.shuffle(block)
-        result.extend(block)
-        return result
 
     base = evaluate_dag(dag, source_events)
     sink_names = list(base.sink_events)
@@ -180,7 +154,7 @@ def check_dag_invariance(
     }
     for _ in range(shuffles):
         variant_inputs = {
-            name: shuffle_stream(events)
+            name: shuffle_within_blocks(events, rng)
             for name, events in source_events.items()
         }
         result = evaluate_dag(dag, variant_inputs)

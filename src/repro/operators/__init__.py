@@ -21,7 +21,7 @@ filter, tumbling/sliding window aggregation, stream-table join) on top of
 the templates.
 """
 
-from repro.operators.base import Operator, Emitter, KV
+from repro.operators.base import Operator, KV
 from repro.operators.stateless import OpStateless, StatelessFn
 from repro.operators.keyed_ordered import OpKeyedOrdered
 from repro.operators.keyed_unordered import (
@@ -46,7 +46,6 @@ from repro.operators import joins
 
 __all__ = [
     "Operator",
-    "Emitter",
     "KV",
     "OpStateless",
     "StatelessFn",

@@ -18,7 +18,7 @@ templates the programmer never emits markers; the runtime propagates them
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, List, NamedTuple, Sequence, Union
 
 
 class KV(NamedTuple):
@@ -54,29 +54,17 @@ def is_marker_event(event: Event) -> bool:
     return isinstance(event, Marker)
 
 
-class Emitter:
-    """Collects the key-value pairs emitted by template callbacks.
+def appender(out: List[Event]) -> Callable[[Any, Any], None]:
+    """An ``emit(key, value)`` that appends a ``KV`` straight to ``out``.
 
-    Template code calls :meth:`emit`; the runtime drains :attr:`buffer`
-    after each callback.  An optional ``key_guard`` enforces template
-    restrictions (``OpKeyedOrdered`` requires output to preserve the input
-    key).
-    """
+    The one output path of the templates: both the per-event reference
+    ``handle`` and the batch kernel hand user hooks an ``emit`` built
+    here (or its key-guarded variant) over their own output list."""
 
-    def __init__(self, key_guard: Optional[Callable[[Any], None]] = None):
-        self.buffer: List[KV] = []
-        self._key_guard = key_guard
+    def emit(key, value, _append=out.append, _new=tuple.__new__):
+        _append(_new(KV, (key, value)))
 
-    def emit(self, key: Any, value: Any) -> None:
-        """Emit one output key-value pair."""
-        if self._key_guard is not None:
-            self._key_guard(key)
-        self.buffer.append(KV(key, value))
-
-    def drain(self) -> List[KV]:
-        """Remove and return everything emitted since the last drain."""
-        out, self.buffer = self.buffer, []
-        return out
+    return emit
 
 
 class Operator:

@@ -24,7 +24,7 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
-from repro.operators.base import KV, Emitter, Event, Marker, Operator
+from repro.operators.base import Event, Marker, Operator, appender
 
 
 @dataclass
@@ -94,12 +94,11 @@ class _Record:
 class _KeyedUnorderedState:
     """Table 3's memory: the state map plus ``startS``."""
 
-    __slots__ = ("state_map", "start_state", "emitter")
+    __slots__ = ("state_map", "start_state")
 
     def __init__(self, start_state: Any):
         self.state_map: Dict[Any, _Record] = {}
         self.start_state = start_state
-        self.emitter = Emitter()
 
 
 class OpKeyedUnordered(Operator):
@@ -159,10 +158,9 @@ class OpKeyedUnordered(Operator):
         return _KeyedUnorderedState(self.init())
 
     def snapshot_state(self, state: _KeyedUnorderedState) -> Any:
-        # Only the record map and startS are durable; the emitter buffer
-        # is always drained between invocations.  The per-key ``agg`` /
-        # ``state`` values may be arbitrary user objects, so they still
-        # deep-copy — the saving is skipping the slotted wrappers.
+        # The per-key ``agg`` / ``state`` values may be arbitrary user
+        # objects, so they deep-copy — the saving is skipping the slotted
+        # wrappers.
         return (
             copy.deepcopy(state.start_state),
             {
@@ -181,13 +179,9 @@ class OpKeyedUnordered(Operator):
         return state
 
     def handle(self, state: _KeyedUnorderedState, event: Event) -> List[Event]:
+        out: List[Event] = []
         if isinstance(event, Marker):
-            for key, record in state.state_map.items():
-                record.state = self.update_state(record.state, record.agg)
-                record.agg = self.identity()
-                self.on_marker(record.state, key, event, state.emitter.emit)
-            state.start_state = self.update_state(state.start_state, self.identity())
-            out: List[Event] = list(state.emitter.drain())
+            self._step_marker(state, event, appender(out))
             out.append(event)
             return out
         key = event.key
@@ -198,10 +192,11 @@ class OpKeyedUnordered(Operator):
         value = event.value
         if isinstance(value, CombinedAgg):
             record.agg = self.combine(record.agg, value.agg)
-            return []
-        self.on_item(record.state, key, value, state.emitter.emit)
+            return out
+        if type(self).on_item is not OpKeyedUnordered.on_item:
+            self.on_item(record.state, key, value, appender(out))
         record.agg = self.combine(record.agg, self.fold_in(key, value))
-        return list(state.emitter.drain())
+        return out
 
     def handle_batch(self, state: _KeyedUnorderedState, events) -> List[Event]:
         """Epoch kernel: fold a block's items in one pass.
@@ -223,18 +218,15 @@ class OpKeyedUnordered(Operator):
             if type(self).on_item is not OpKeyedUnordered.on_item
             else None
         )
-        emit = _appender(out) if on_item is not None else None
+        # The aggregation-only case builds no emit until a marker needs
+        # one: on the simulator's short blocks the closure is a
+        # measurable share of a call.
+        emit = appender(out) if on_item is not None else None
         for event in events:
             if type(event) is Marker:
                 if emit is None:
-                    emit = _appender(out)
-                for key, record in state_map.items():
-                    record.state = self.update_state(record.state, record.agg)
-                    record.agg = self.identity()
-                    self.on_marker(record.state, key, event, emit)
-                state.start_state = self.update_state(
-                    state.start_state, self.identity()
-                )
+                    emit = appender(out)
+                self._step_marker(state, event, emit)
                 out.append(event)
                 continue
             key, value = event
@@ -250,11 +242,12 @@ class OpKeyedUnordered(Operator):
             record.agg = combine(record.agg, fold_in(key, value))
         return out
 
-
-def _appender(out: List[Event]) -> Callable[[Any, Any], None]:
-    """An ``emit(key, value)`` that appends a ``KV`` straight to ``out``."""
-
-    def emit(key, value, _append=out.append, _new=tuple.__new__):
-        _append(_new(KV, (key, value)))
-
-    return emit
+    def _step_marker(self, state: _KeyedUnorderedState, m: Marker, emit) -> None:
+        """Table 3's marker update: fold every key's block aggregate into
+        its state, reset the aggregate, run :meth:`on_marker`, then
+        advance ``startS`` by one empty block."""
+        for key, record in state.state_map.items():
+            record.state = self.update_state(record.state, record.agg)
+            record.agg = self.identity()
+            self.on_marker(record.state, key, m, emit)
+        state.start_state = self.update_state(state.start_state, self.identity())

@@ -99,12 +99,13 @@ def flat_map(fn: Callable[[Any, Any], Iterable[Tuple[Any, Any]]], name: str = "f
     return StatelessFn(lambda k, v: list(fn(k, v)), name=name)
 
 
-class TableJoin(OpStateless):
+class TableJoin(StatelessFn):
     """Stateless stream-table join: enrich each pair via a lookup.
 
     ``lookup(key, value)`` returns an iterable of output pairs (empty to
     drop the item — join-filter-map in one stage, as in the JFM vertices
-    of Example 4.1 and Figure 5).
+    of Example 4.1 and Figure 5).  A lookup is a pair-list function, so
+    this is a :class:`StatelessFn` with the JFM default name.
     """
 
     def __init__(
@@ -112,35 +113,7 @@ class TableJoin(OpStateless):
         lookup: Callable[[Any, Any], Iterable[Tuple[Any, Any]]],
         name: str = "JFM",
     ):
-        self._lookup = lookup
-        self.name = name
-
-    def on_item(self, key, value, emit):
-        for out_key, out_value in self._lookup(key, value):
-            emit(out_key, out_value)
-
-    def handle_batch(self, state, events) -> List[Event]:
-        # Batch kernel: call the lookup directly per event and append
-        # its pairs, skipping the on_item/emit dispatch layer.  Falls
-        # back to the generic kernel if a subclass customizes hooks.
-        cls = type(self)
-        if (
-            cls.on_marker is not OpStateless.on_marker
-            or cls.on_item is not TableJoin.on_item
-        ):
-            return super().handle_batch(state, events)
-        lookup = self._lookup
-        out: List[Event] = []
-        append = out.append
-        tuple_new = tuple.__new__
-        for event in events:
-            if type(event) is Marker:
-                append(event)
-                continue
-            key, value = event
-            for pair in lookup(key, value):
-                append(tuple_new(KV, pair))
-        return out
+        super().__init__(lookup, name=name)
 
 
 # ----------------------------------------------------------------------

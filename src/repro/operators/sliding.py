@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.operators.base import Emitter, Event, Marker, Operator
+from repro.operators.base import KV, Event, Marker, Operator
 from repro.operators.window_algorithms import make_aggregator
 
 
@@ -39,12 +39,11 @@ class _KeyWindow:
 
 
 class _SlidingState:
-    __slots__ = ("per_key", "blocks_seen", "emitter")
+    __slots__ = ("per_key", "blocks_seen")
 
     def __init__(self):
         self.per_key: Dict[Any, _KeyWindow] = {}
         self.blocks_seen = 0
-        self.emitter = Emitter()
 
 
 class OpSlidingWindow(Operator):
@@ -89,6 +88,7 @@ class OpSlidingWindow(Operator):
 
     def handle(self, state: _SlidingState, event: Event) -> List[Event]:
         if isinstance(event, Marker):
+            out: List[Event] = []
             state.blocks_seen += 1
             for key, record in state.per_key.items():
                 record.window.insert(record.block_agg)
@@ -100,8 +100,7 @@ class OpSlidingWindow(Operator):
                     continue
                 result = self.finish(key, agg, event.timestamp)
                 if result is not None:
-                    state.emitter.emit(key, result)
-            out: List[Event] = list(state.emitter.drain())
+                    out.append(KV(key, result))
             out.append(event)
             return out
         key = event.key

@@ -112,11 +112,6 @@ class SortOp(Operator):
             out.extend(buffered)
         state.clear()
 
-    def _cmp(self, value: Any):
-        """The canonical comparison key (kept for reference/tests; the
-        flush computes the same order lazily via :func:`_resolve_ties`)."""
-        return (self.sort_key(value), repr(value))
-
 
 #: Sort key selecting the decorated pair's sort-key slot (C-level;
 #: ``list.sort`` calls it once per element).

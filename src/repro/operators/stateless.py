@@ -2,17 +2,18 @@
 
 Only the current event — never the input history — determines the output.
 The programmer overrides :meth:`OpStateless.on_item` and (optionally)
-:meth:`OpStateless.on_marker`; both may emit output key-value pairs via
-the supplied emitter and nothing else.  Because there is no state, any
-interleaving of between-marker items yields the same bag of outputs per
-block, which is exactly (U, U)-consistency.
+:meth:`OpStateless.on_marker`; both may emit output key-value pairs
+through the ``emit`` callback they are handed, and nothing else.
+Because there is no state, any interleaving of between-marker items
+yields the same bag of outputs per block, which is exactly
+(U, U)-consistency.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from repro.operators.base import KV, Emitter, Event, Marker, Operator
+from repro.operators.base import KV, Event, Marker, Operator, appender
 
 
 class OpStateless(Operator):
@@ -27,10 +28,6 @@ class OpStateless(Operator):
     input_kind = "U"
     output_kind = "U"
 
-    def initial_state(self) -> Emitter:
-        # The only "state" is a reusable emitter buffer.
-        return Emitter()
-
     def on_item(self, key: Any, value: Any, emit: Callable[[Any, Any], None]) -> None:
         """Process one key-value pair; emit any number of output pairs."""
         raise NotImplementedError
@@ -39,33 +36,23 @@ class OpStateless(Operator):
         """Process one marker (output only; the marker itself is forwarded
         automatically)."""
 
-    def snapshot_state(self, state: Emitter) -> Any:
-        # The emitter buffer is always drained between invocations, so a
-        # stateless operator has nothing to checkpoint.
-        return None
-
-    def restore_state(self, snapshot: Any) -> Emitter:
-        return self.initial_state()
-
-    def handle(self, state: Emitter, event: Event) -> List[Event]:
-        if isinstance(event, Marker):
-            self.on_marker(event, state.emit)
-            out: List[Event] = list(state.drain())
-            out.append(event)
-            return out
-        self.on_item(event.key, event.value, state.emit)
-        return list(state.drain())
-
-    def handle_batch(self, state: Emitter, events) -> List[Event]:
-        # Batch kernel: map the whole block in one tight loop, emitting
-        # straight into the output list (no per-event drain/alloc).  The
-        # output sequence is identical to the serial path's, so this is
-        # safe for any input kind.
+    def handle(self, state: None, event: Event) -> List[Event]:
         out: List[Event] = []
+        emit = appender(out)
+        if isinstance(event, Marker):
+            self.on_marker(event, emit)
+            out.append(event)
+        else:
+            self.on_item(event.key, event.value, emit)
+        return out
 
-        def emit(key, value, _append=out.append, _new=tuple.__new__):
-            _append(_new(KV, (key, value)))
-
+    def handle_batch(self, state: None, events) -> List[Event]:
+        # Batch kernel: map the whole block in one tight loop, emitting
+        # straight into the output list.  The output sequence is
+        # identical to the serial path's, so this is safe for any input
+        # kind.
+        out: List[Event] = []
+        emit = appender(out)
         on_item = self.on_item
         for event in events:
             if isinstance(event, Marker):
@@ -91,12 +78,12 @@ class StatelessFn(OpStateless):
 
     def on_item(self, key, value, emit):
         result = self._fn(key, value)
-        if result is None:
+        if not result:
             return
         for out_key, out_value in result:
             emit(out_key, out_value)
 
-    def handle_batch(self, state: Emitter, events) -> List[Event]:
+    def handle_batch(self, state: None, events) -> List[Event]:
         # The adapter's shape is fully known (a pure pair-list function,
         # no marker hook), so the batch kernel can call the function
         # directly and skip the on_item/emit dispatch per event.  A
@@ -118,7 +105,7 @@ class StatelessFn(OpStateless):
                 continue
             key, value = event
             result = fn(key, value)
-            if result is not None:
+            if result:
                 for pair in result:
                     append(tuple_new(KV, pair))
         return out

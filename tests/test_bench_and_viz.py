@@ -1,6 +1,9 @@
 """The experiment harness (cost models, sweeps, reporting) and the
 visualization/CLI utilities."""
 
+import json
+import platform
+
 import pytest
 
 from repro.bench.harness import (
@@ -15,6 +18,7 @@ from repro.bench.harness import (
     sweep_machines,
 )
 from repro.bench.reporting import (
+    emit_bench_json,
     format_comparison_table,
     format_scaling_table,
     ratios,
@@ -138,6 +142,19 @@ class TestReporting:
         gen = [ScalingPoint(1, 1_200_000.0, 1.0, None)]
         table = format_comparison_table("cmp", hand, gen)
         assert "1.200" in table and "1.200" in table.splitlines()[-1]
+
+    def test_bench_json_records_host(self, tmp_path):
+        emit_bench_json("BENCH_t.json", {"a": 1}, out_dir=tmp_path)
+        path = emit_bench_json("BENCH_t.json", {"b": 2}, out_dir=tmp_path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["a"] == 1 and data["b"] == 2
+        assert data["schema"] == "repro-bench-v1"
+        host = data["host"]
+        assert set(host) == {
+            "python", "implementation", "platform", "machine", "nproc"
+        }
+        assert host["python"] == platform.python_version()
+        assert isinstance(host["nproc"], int) and host["nproc"] >= 1
 
 
 class TestViz:

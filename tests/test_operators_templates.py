@@ -97,17 +97,31 @@ class TestOpKeyedOrdered:
         b = Delta().run([KV("a", 4), KV("a", 1)])
         assert a != b  # ordered semantics: input order matters per key
 
-    def test_key_preservation_enforced(self):
+    @pytest.mark.parametrize("site", ["on_item", "on_marker"])
+    @pytest.mark.parametrize("entry", ["handle", "handle_batch"])
+    def test_key_preservation_enforced(self, entry, site):
+        """A re-keying emit raises on the per-event path and in the batch
+        kernel, from the item hook and from the marker step alike."""
+
         class BadRekey(OpKeyedOrdered):
             def init(self):
                 return None
 
             def on_item(self, state, key, value, emit):
-                emit("other", value)
+                emit("other" if site == "on_item" else key, value)
                 return state
 
-        with pytest.raises(TraceTypeError):
-            BadRekey().run([KV("a", 1)])
+            def on_marker(self, state, key, m, emit):
+                emit("other", m.timestamp)
+                return state
+
+        op = BadRekey()
+        events = [KV("a", 1), Marker(1)]
+        with pytest.raises(TraceTypeError, match="preserve the input key"):
+            if entry == "handle":
+                op.run(events)
+            else:
+                op.handle_batch(op.initial_state(), events)
 
     def test_on_marker_updates_state(self):
         class ResetAtMarker(OpKeyedOrdered):
